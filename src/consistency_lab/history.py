@@ -18,6 +18,7 @@ The value field is present exactly on PUT calls and GET responses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 INITIAL = None
 INITIAL_TOKEN = "-"
@@ -32,8 +33,7 @@ class HistoryError(Exception):
     """Malformed history (unpaired events, bad file syntax, ...)."""
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     kind: str  # CALL or RESP
     process: str
     op: str  # GET or PUT
@@ -83,26 +83,26 @@ class History:
         """
         ops: dict[int, Operation] = {}
         order: list[Operation] = []
-        for i, ev in enumerate(self.events):
-            if ev.kind == CALL:
-                if ev.op_id in ops:
-                    raise HistoryError(f"duplicate call for op_id {ev.op_id}")
-                o = Operation(ev.op_id, ev.process, ev.op, ev.key, ev.value, i)
-                ops[ev.op_id] = o
+        for i, (kind, process, op, key, value, op_id) in enumerate(self.events):
+            if kind == CALL:
+                if op_id in ops:
+                    raise HistoryError(f"duplicate call for op_id {op_id}")
+                o = Operation(op_id, process, op, key, value, i)
+                ops[op_id] = o
                 order.append(o)
-            elif ev.kind == RESP:
-                o = ops.get(ev.op_id)
+            elif kind == RESP:
+                o = ops.get(op_id)
                 if o is None:
-                    raise HistoryError(f"response without call: op_id {ev.op_id}")
+                    raise HistoryError(f"response without call: op_id {op_id}")
                 if o.resp_index is not None:
-                    raise HistoryError(f"duplicate response for op_id {ev.op_id}")
-                if o.process != ev.process or o.key != ev.key or o.op != ev.op:
-                    raise HistoryError(f"response does not match call: op_id {ev.op_id}")
+                    raise HistoryError(f"duplicate response for op_id {op_id}")
+                if o.process != process or o.key != key or o.op != op:
+                    raise HistoryError(f"response does not match call: op_id {op_id}")
                 o.resp_index = i
                 if o.op == GET:
-                    o.value = ev.value
+                    o.value = value
             else:
-                raise HistoryError(f"unknown event kind {ev.kind!r}")
+                raise HistoryError(f"unknown event kind {kind!r}")
         return order
 
     def complete_operations(self) -> list[Operation]:
@@ -116,47 +116,48 @@ class History:
 
     def to_text(self) -> str:
         lines = []
-        for i, ev in enumerate(self.events):
-            has_value = (ev.op == PUT and ev.kind == CALL) or (
-                ev.op == GET and ev.kind == RESP
-            )
-            parts = [str(i), ev.process, ev.kind, ev.op, str(ev.key)]
+        for i, (kind, process, op, key, value, op_id) in enumerate(self.events):
+            has_value = (op == PUT and kind == CALL) or (op == GET and kind == RESP)
+            parts = [str(i), process, kind, op, str(key)]
             if has_value:
-                parts.append(INITIAL_TOKEN if ev.value is INITIAL else str(ev.value))
-            parts.append(str(ev.op_id))
+                parts.append(INITIAL_TOKEN if value is INITIAL else str(value))
+            parts.append(str(op_id))
             lines.append(" ".join(parts))
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> "History":
-        h = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        events = []
+        append = events.append
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
             parts = line.split()
-            if len(parts) not in (6, 7):
-                raise HistoryError(f"line {lineno}: expected 6 or 7 fields, got {len(parts)}")
+            if not parts:
+                continue
+            n = len(parts)
+            if n != 6 and n != 7:
+                raise HistoryError(f"line {lineno}: expected 6 or 7 fields, got {n}")
             _, process, kind, op, key = parts[:5]
-            if kind not in (CALL, RESP):
+            if kind != CALL and kind != RESP:
                 raise HistoryError(f"line {lineno}: bad event kind {kind!r}")
-            if op not in (GET, PUT):
+            if op != GET and op != PUT:
                 raise HistoryError(f"line {lineno}: bad operation {op!r}")
-            has_value = (op == PUT and kind == CALL) or (op == GET and kind == RESP)
-            if has_value:
-                if len(parts) != 7:
+            if (op == PUT) == (kind == CALL):  # PUT call or GET response
+                if n != 7:
                     raise HistoryError(f"line {lineno}: missing value field")
                 token = parts[5]
                 value = INITIAL if token == INITIAL_TOKEN else _parse_value(token)
             else:
-                if len(parts) != 6:
+                if n != 6:
                     raise HistoryError(f"line {lineno}: unexpected value field")
                 value = None
             try:
                 op_id = int(parts[-1])
             except ValueError:
                 raise HistoryError(f"line {lineno}: bad op_id {parts[-1]!r}") from None
-            h.append(HistoryEvent(kind, process, op, key, value, op_id))
+            append(HistoryEvent(kind, process, op, key, value, op_id))
+        h = cls(events)
         h.operations()  # validate pairing
         return h
 

@@ -16,8 +16,10 @@ failure detector has caught up.
 
 from __future__ import annotations
 
+import functools
+
 from ..history import GET, PUT
-from ..sim import Message
+from ..sim import Message, NodeId
 from ..store import (
     AFTER,
     BEFORE,
@@ -42,20 +44,20 @@ def _mix(key: int) -> int:
 def preference_list(key, topo):
     """Ranked replica candidates for a key: datacenters rotate fastest so the
     top N straddles datacenters, partitions advance once per full rotation.
-    The list holds n + spares distinct nodes; the first n are the owners."""
-    from ..sim import NodeId
+    The tuple holds n + spares distinct nodes; the first n are the owners."""
+    return _preference_list(
+        key, topo.num_datacenters, topo.partitions_per_dc, topo.n + topo.spares
+    )
 
-    d_count, p_count = topo.num_datacenters, topo.partitions_per_dc
+
+@functools.lru_cache(maxsize=1 << 16)
+def _preference_list(key, d_count, p_count, length):
     first_dc = _mix(key) % d_count
     base_part = partition_for_key(key, p_count)
-    total = d_count * p_count
-    length = min(total, topo.n + topo.spares)
-    out = []
-    for r in range(length):
-        dc = (first_dc + r) % d_count
-        part = (base_part + r // d_count) % p_count
-        out.append(NodeId(dc, part))
-    return out
+    return tuple(
+        NodeId((first_dc + r) % d_count, (base_part + r // d_count) % p_count)
+        for r in range(min(d_count * p_count, length))
+    )
 
 
 class DPut(Message):

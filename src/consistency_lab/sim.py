@@ -12,6 +12,24 @@ Two delivery disciplines are offered:
 * ``send_reliable`` -- a FIFO retransmitting channel (TCP-like): messages are
   delayed, never lost, and delivered in send order once the link is up.
 
+Capacity gate: a node with capacity C serves one message per slot of
+``1e6 / C`` us.  A message arriving while the node is busy waits, in arrival
+order, until the node is free; control messages wait their turn too but take
+no slot, and a crash delays waiting messages by ``retransmit_interval``
+instead of dropping them.  Semantically each waiting message is re-pushed to
+the node's next free time, taking a new event id, once per slot it waits.
+
+Runs: pre-checked deliveries (waiting messages and reliable-channel
+releases) are queued as runs.  A run is a block of deliveries to one
+target that share one time and hold consecutive event ids;
+no other event can sort between them, so one queue entry, keyed by the
+first id, stands for the block.  Re-pushing a run of k messages takes the
+next k ids, as k single re-pushes would, and a re-push that continues the
+newest queued run (same time, same node, no event id taken since) extends
+it.  Serving the head puts the rest back at the next id.  So a backlog of k
+messages costs O(k) queue operations instead of O(k^2), while event ids,
+handler order and the event digest are those of the one-by-one re-pushes.
+
 Determinism: all randomness flows through seeded ``random.Random`` streams
 and ties in the event queue are broken by event id, so identical seeds yield
 identical traces.
@@ -122,9 +140,22 @@ class FaultSchedule:
 
 # event kinds
 _DELIVER = 0  # network message, partition/crash checked at delivery
-_DIRECT = 1  # pre-checked delivery (reliable channel), capacity still applies
+_DIRECT = 1  # a _Run of pre-checked deliveries; crashes and capacity still apply
 _TIMER = 2  # self-scheduled event, no network semantics
 _CHAN = 3  # reliable-channel poll
+
+
+class _Run:
+    """Pre-checked deliveries to one target that share one time and hold the
+    consecutive event ids first..last, first being the id of the queue entry.
+    No other event can sort between them, so the entry stands for the whole
+    block and its messages are served in id order."""
+
+    __slots__ = ("target", "time", "last", "items")
+
+    def __init__(self, target, items):
+        self.target = target
+        self.items = items  # deque of (src, msg)
 
 
 class _Channel:
@@ -168,6 +199,7 @@ class Simulation:
         self.actors = {}
 
         self._busy_until = {}
+        self._tail = None  # the newest _Run still queued; pushes may extend it
         self._channels = {}
         self._clock_state = {}  # node -> [offset, drift, last_pc, last_stamp_us, seq]
 
@@ -257,6 +289,30 @@ class Simulation:
         heapq.heappush(self._queue, (time, self._eid, kind, target, src, msg))
         return self._eid
 
+    def _push_direct(self, time, target, items, run=None):
+        """Queue pre-checked deliveries `items` ((src, msg) pairs, in order)
+        for `target`.  They take the next len(items) event ids, exactly as
+        that many back-to-back pushes would; when those ids continue the
+        newest run at the same time and target, the run absorbs them."""
+        first = self._eid + 1
+        self._eid += len(items)
+        tail = self._tail
+        if (
+            tail is not None
+            and tail.last == first - 1
+            and tail.time == time
+            and tail.target == target
+        ):
+            tail.items.extend(items)
+            tail.last = self._eid
+            return
+        if run is None:
+            run = _Run(target, deque(items))
+        run.time = time
+        run.last = self._eid
+        heapq.heappush(self._queue, (time, first, _DIRECT, target, None, run))
+        self._tail = run
+
     def send(self, src, dst, msg: Message, extra_delay: int = 0):
         """Fire-and-forget send.  Returns the event id, or None if the message
         was lost to the loss-rate draw (partition drops happen at delivery)."""
@@ -306,23 +362,36 @@ class Simulation:
                 self._poll_channel(msg)
                 return eid
 
-            if kind == _DELIVER:
+            if kind == _DIRECT:
+                run = msg
+                if run is self._tail:
+                    self._tail = None
+                if isinstance(target, NodeId) and self.faults.crashed(target, time):
+                    # already past the delivery checks (sitting in the node's
+                    # input buffer); a crash delays processing, not receipt
+                    self._push_direct(
+                        time + self.retransmit_interval, target, run.items, run
+                    )
+                    continue
+                if self.capacity_cost and isinstance(target, NodeId):
+                    busy = self._busy_until.get(target, 0)
+                    if busy > time:
+                        # node saturated: the whole run waits, in order
+                        self._push_direct(busy, target, run.items, run)
+                        continue
+                src, msg = run.items.popleft()
+                if run.items:
+                    heapq.heappush(self._queue, (time, eid + 1, _DIRECT, target, None, run))
+                if self.capacity_cost and isinstance(target, NodeId) and not msg.control:
+                    self._busy_until[target] = time + self.capacity_cost
+
+            elif kind == _DELIVER:
                 a, b = self._rep(src), self._rep(target)
                 if self.faults.separated(a, b, time) or (
                     isinstance(target, NodeId) and self.faults.crashed(target, time)
                 ):
                     self._drop(time, src, target, msg)
                     continue
-
-            if kind == _DIRECT and isinstance(target, NodeId) and self.faults.crashed(
-                target, time
-            ):
-                # already past the delivery checks (sitting in the node's
-                # input buffer); a crash delays processing, not receipt
-                self._push(time + self.retransmit_interval, _DIRECT, target, src, msg)
-                continue
-
-            if kind in (_DELIVER, _DIRECT):
                 if self.capacity_cost and isinstance(target, NodeId):
                     busy = self._busy_until.get(target, 0)
                     if busy > time:
@@ -330,7 +399,7 @@ class Simulation:
                         # Control messages also wait their turn (so they never
                         # overtake payload traffic on the same link, which
                         # would break FIFO channel ordering) but cost nothing.
-                        self._push(busy, _DIRECT, target, src, msg)
+                        self._push_direct(busy, target, ((src, msg),))
                         continue
                     if not msg.control:
                         self._busy_until[target] = time + self.capacity_cost
@@ -363,7 +432,7 @@ class Simulation:
                 self._push(self.now + self.retransmit_interval, _CHAN, ch.dst, ch.src, ch)
                 return
             ch.queue.popleft()
-            self._push(self.now, _DIRECT, ch.dst, ch.src, msg)
+            self._push_direct(self.now, ch.dst, ((ch.src, msg),))
 
     def run(self, until: int = None, max_events: int = None):
         """Process events until the queue empties, `until` is passed, or

@@ -242,3 +242,99 @@ def test_timer_delivery():
     sim.schedule_timer(NodeId(0, 0), Tick(), 5000)
     sim.run()
     assert rec.seen == [(5000, NodeId(0, 0), "tick")]
+
+
+# -- the capacity gate under backlogs ----------------------------------------
+# Times, orders and event ids below are those of the kernel that re-pushed
+# every waiting message once per service slot; the run-based gate must
+# reproduce them exactly.
+
+
+class Num(Message):
+    __slots__ = ("n",)
+    tname = "num"
+
+    def __init__(self, n):
+        self.n = n
+
+
+class CtlNum(Num):
+    __slots__ = ()
+    control = True
+    tname = "ctl"
+
+
+class Log:
+    def __init__(self):
+        self.seen = []
+
+    def handle(self, sim, src, msg):
+        self.seen.append((sim.now, msg.n))
+
+
+def test_burst_released_at_partition_heal_is_served_one_slot_apart():
+    # the link is down until 50 ms; the channel retries every 2 ms from
+    # 2.5 ms, so the whole backlog is released at 50.5 ms
+    faults = FaultSchedule(
+        partitions=[PartitionInterval(frozenset([NodeId(0, 0)]), 0, 50_000)]
+    )
+    sim = make_sim(faults=faults, capacity=1000)
+    a, b = NodeId(0, 0), NodeId(1, 0)
+    log = Log()
+    sim.add_actor(b, log)
+    for i in range(6):
+        sim.send_reliable(a, b, Num(i))
+    sim.run()
+    assert log.seen == [(50_500 + 1000 * i, i) for i in range(6)]
+    # 25 channel polls, 6 releases, and one id for each slot a message
+    # waited: the waiting messages' re-pushes still take event ids
+    assert sim._eid == 25 + 6 + (5 + 4 + 3 + 2 + 1)
+
+
+def test_control_messages_in_a_backlog_cost_nothing():
+    sim = make_sim(capacity=1000)
+    a, b = NodeId(0, 0), NodeId(0, 1)
+    log = Log()
+    sim.add_actor(b, log)
+    for i in range(7):
+        sim.send(a, b, (CtlNum if i % 2 else Num)(i))
+    sim.run()
+    # controls wait their turn in the queue but take no service slot
+    assert log.seen == [
+        (100, 0), (1100, 1), (1100, 2), (2100, 3), (2100, 4), (3100, 5), (3100, 6)
+    ]
+
+
+def test_crash_while_backlog_waits_delays_it_in_order():
+    faults = FaultSchedule(crashes=[CrashInterval(NodeId(0, 1), 1500, 3000)])
+    sim = make_sim(faults=faults, capacity=1000, retransmit_interval=400)
+    a, b = NodeId(0, 0), NodeId(0, 1)
+    log = Log()
+    sim.add_actor(b, log)
+    for i in range(5):
+        sim.send(a, b, Num(i))
+    sim.run()
+    # the backlog due at 2.1 ms waits out the crash in 0.4 ms steps
+    assert log.seen == [(100, 0), (1100, 1), (3300, 2), (4300, 3), (5300, 4)]
+
+
+def test_equal_time_arrival_with_lower_id_is_served_before_waiting_run():
+    sim = make_sim(capacity=1000)
+    a, b = NodeId(0, 0), NodeId(0, 1)
+    log = Log()
+    sim.add_actor(b, log)
+
+    class Kicker:
+        def handle(self, sim, src, msg):
+            sim.send(a, b, Num(20), extra_delay=500)  # arrives at 2.1 ms
+
+    sim.add_actor(a, Kicker())
+    for i in range(3):
+        sim.send(a, b, Num(i))  # arrive at 100 us; two then wait for 1.1 ms
+    sim.send(a, b, Num(10), extra_delay=1000)  # arrives at 1.1 ms
+    sim.schedule_timer(a, Num(99), 1500)
+    sim.run()
+    # 10 was sent before the waiting messages took their ids at 100 us, so
+    # it goes first at 1.1 ms and pushes them to 2.1 ms; 20 was sent after
+    # they took new ids for 2.1 ms, so it waits behind them
+    assert log.seen == [(100, 0), (1100, 10), (2100, 1), (3100, 2), (4100, 20)]
