@@ -129,7 +129,6 @@ class _GstTick(Message):
 class GentleRainServer(ServerNode):
     def __init__(self, node, topo, trace):
         super().__init__(node, topo, trace)
-        self.chain = {}  # key -> list of (t, origin_dc, value, vid)
         self.visible_head = {}  # key -> (t, origin_dc, value, vid)
         self.peers = [d for d in range(topo.num_datacenters) if d != node.dc]
         self.vv = {d: ZERO for d in self.peers}  # newest stamp seen per peer
@@ -224,7 +223,6 @@ class GentleRainServer(ServerNode):
             vid = self.trace.new_version(
                 msg.key, msg.value, self.node, sim.now, msg.dep_vids, stamp=t
             )
-            self.chain.setdefault(msg.key, []).append((t, self.node.dc, msg.value, vid))
             self._make_readable(sim, msg.key, t, self.node.dc, msg.value, vid)
             sim.send(self.node, msg.client, GPutReply(msg.op_id, msg.key, t, vid))
             for dc in self.peers:
@@ -237,9 +235,6 @@ class GentleRainServer(ServerNode):
         elif isinstance(msg, GReplicate):
             if msg.t > self.vv[msg.origin]:
                 self.vv[msg.origin] = msg.t
-            self.chain.setdefault(msg.key, []).append(
-                (msg.t, msg.origin, msg.value, msg.vid)
-            )
             if msg.t <= self.gst:
                 self._make_readable(sim, msg.key, msg.t, msg.origin, msg.value, msg.vid)
             else:

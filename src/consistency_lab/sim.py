@@ -30,6 +30,20 @@ it.  Serving the head puts the rest back at the next id.  So a backlog of k
 messages costs O(k) queue operations instead of O(k^2), while event ids,
 handler order and the event digest are those of the one-by-one re-pushes.
 
+Endpoints: each actor id is resolved once, on first use, into an endpoint
+record holding what the per-event path reads: the id and its ``str``, its
+datacenter's latency row, its service slot and busy-until time, its crash
+windows, and a bitmask of the partition groups its fate follows (a client's
+is its datacenter's node 0).  Queue entries, runs and channels carry
+endpoints, so a delivery is checked and gated with attribute reads and
+integer comparisons, without hashing or building an id.  Handlers still
+receive actor ids and are looked up in ``actors`` at dispatch.
+
+Digest: every handled event adds the line ``time:eid:type:target:src`` to a
+SHA-256 of the whole run.  Lines are buffered and hashed in batches, which
+gives the same bytes as hashing each line; reading ``digest`` flushes the
+buffer.
+
 Determinism: all randomness flows through seeded ``random.Random`` streams
 and ties in the event queue are broken by event id, so identical seeds yield
 identical traces.
@@ -42,10 +56,10 @@ import heapq
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     dc: int
     partition: int
 
@@ -53,10 +67,11 @@ class NodeId:
         return f"{self.dc}.{self.partition}"
 
 
-@dataclass(frozen=True, order=True)
-class ClientId:
+class ClientId(NamedTuple):
     dc: int
     index: int
+    # a constant third field keeps ClientId(d, i) != NodeId(d, i)
+    tag: str = "c"
 
     def __str__(self):
         return f"c{self.dc}.{self.index}"
@@ -125,12 +140,6 @@ class FaultSchedule:
             if p.start >= p.end:
                 raise ValueError("fault interval must have start < end")
 
-    def separated(self, a, b, t) -> bool:
-        for p in self.partitions:
-            if p.start <= t < p.end and ((a in p.group) != (b in p.group)):
-                return True
-        return False
-
     def crashed(self, node, t) -> bool:
         for c in self.crashes:
             if c.node == node and c.start <= t < c.end:
@@ -144,6 +153,64 @@ _DIRECT = 1  # a _Run of pre-checked deliveries; crashes and capacity still appl
 _TIMER = 2  # self-scheduled event, no network semantics
 _CHAN = 3  # reliable-channel poll
 
+_DIGEST_BATCH = 4096  # digest lines hashed per sha256 update
+
+
+class _Endpoint:
+    """An actor id resolved for the per-event path.  `cost` is the node's
+    service slot (0 for clients and without a capacity), `crashes` its
+    (start, end) windows (none for clients), and bit i of `side` is set when
+    its partition fate is inside the group of partition interval i."""
+
+    __slots__ = ("id", "name", "dc", "row", "cost", "busy", "crashes", "side")
+
+    def __init__(self, actor_id, row, cost, crashes, side):
+        self.id = actor_id
+        self.name = str(actor_id)
+        self.dc = actor_id.dc
+        self.row = row  # base latency from this endpoint's dc to each dc
+        self.cost = cost
+        self.busy = 0  # the node serves its next message no earlier than this
+        self.crashes = crashes
+        self.side = side
+
+
+class _Endpoints(dict):
+    """actor id -> _Endpoint, each id resolved on its first lookup."""
+
+    __slots__ = ("base", "partitions", "crashes", "cost")
+
+    def __init__(self, base, faults, cost):
+        super().__init__()
+        self.base = base
+        self.partitions = [(1 << i, p.group) for i, p in enumerate(faults.partitions)]
+        self.crashes = faults.crashes
+        self.cost = cost or 0
+
+    def __missing__(self, actor_id):
+        is_node = isinstance(actor_id, NodeId)
+        # clients share partition fate with their home datacenter's node 0
+        fate = NodeId(actor_id.dc, 0) if isinstance(actor_id, ClientId) else actor_id
+        side = 0
+        for bit, group in self.partitions:
+            if fate in group:
+                side |= bit
+        crashes = ()
+        if is_node:
+            crashes = tuple((c.start, c.end) for c in self.crashes if c.node == actor_id)
+        cost = self.cost if is_node else 0
+        ep = self[actor_id] = _Endpoint(
+            actor_id, self.base[actor_id.dc], cost, crashes, side
+        )
+        return ep
+
+
+def _within(windows, t) -> bool:
+    for start, end in windows:
+        if start <= t < end:
+            return True
+    return False
+
 
 class _Run:
     """Pre-checked deliveries to one target that share one time and hold the
@@ -155,7 +222,7 @@ class _Run:
 
     def __init__(self, target, items):
         self.target = target
-        self.items = items  # deque of (src, msg)
+        self.items = items  # deque of (src, msg), endpoints
 
 
 class _Channel:
@@ -198,15 +265,30 @@ class Simulation:
         self._clock_rng = random.Random(clock_seed)
         self.actors = {}
 
-        self._busy_until = {}
+        # the network model, read per message
+        d = len(network.ntt)
+        base = [
+            [network.intra_dc_latency if i == j else network.ntt[i][j] for j in range(d)]
+            for i in range(d)
+        ]
+        self._jitter = network.jitter
+        self._jitter_lo = -network.jitter  # random.uniform(lo, -lo), inlined
+        self._jitter_span = network.jitter - self._jitter_lo
+        self._loss_rate = network.loss_rate
+        # (bit, start, end) per partition interval, matched against side masks
+        self._partitions = tuple(
+            (1 << i, p.start, p.end) for i, p in enumerate(self.faults.partitions)
+        )
+        self._eps = _Endpoints(base, self.faults, self.capacity_cost)
+
         self._tail = None  # the newest _Run still queued; pushes may extend it
         self._channels = {}
         self._clock_state = {}  # node -> [offset, drift, last_pc, last_stamp_us, seq]
 
         self.msg_counts = Counter()
-        self.dropped = []
         self.on_drop = None
         self._digest = hashlib.sha256()
+        self._digest_lines = []
         self.processed = 0
 
     # -- actors -----------------------------------------------------------
@@ -265,24 +347,20 @@ class Simulation:
 
     # -- scheduling -------------------------------------------------------
 
-    def _rep(self, actor_id):
-        # clients share partition fate with their home datacenter's node 0
-        if isinstance(actor_id, ClientId):
-            return NodeId(actor_id.dc, 0)
-        return actor_id
-
-    def latency(self, src, dst) -> int:
-        if src == dst:
+    def _latency(self, src, dst) -> int:
+        if src is dst:
             return 0
-        a, b = self._rep(src), self._rep(dst)
-        base = (
-            self.network.intra_dc_latency
-            if a.dc == b.dc
-            else self.network.ntt[a.dc][b.dc]
-        )
-        if self.network.jitter:
-            base = base * (1.0 + self.rng.uniform(-self.network.jitter, self.network.jitter))
+        base = src.row[dst.dc]
+        if self._jitter:
+            base = base * (1.0 + (self._jitter_lo + self._jitter_span * self.rng.random()))
         return max(1, round(base))
+
+    def _separated(self, a, b, t) -> bool:
+        diff = a.side ^ b.side
+        for bit, start, end in self._partitions:
+            if start <= t < end and diff & bit:
+                return True
+        return False
 
     def _push(self, time, kind, target, src, msg):
         self._eid += 1
@@ -301,7 +379,7 @@ class Simulation:
             tail is not None
             and tail.last == first - 1
             and tail.time == time
-            and tail.target == target
+            and tail.target is target
         ):
             tail.items.extend(items)
             tail.last = self._eid
@@ -317,132 +395,140 @@ class Simulation:
         """Fire-and-forget send.  Returns the event id, or None if the message
         was lost to the loss-rate draw (partition drops happen at delivery)."""
         assert extra_delay >= 0
-        t = self.now + self.latency(src, dst) + extra_delay
-        if self.network.loss_rate and self.rng.random() < self.network.loss_rate:
-            self._drop(t, src, dst, msg)
+        eps = self._eps
+        s, d = eps[src], eps[dst]
+        t = self.now + self._latency(s, d) + extra_delay
+        if self._loss_rate and self.rng.random() < self._loss_rate:
+            self._drop(t, s, d, msg)
             return None
-        return self._push(t, _DELIVER, dst, src, msg)
+        return self._push(t, _DELIVER, d, s, msg)
 
     def send_reliable(self, src, dst, msg: Message):
         """FIFO retransmitting channel: delayed by loss/partitions/crashes,
         never dropped, delivered in send order."""
-        ready = self.now + self.latency(src, dst)
-        if self.network.loss_rate:
-            while self.rng.random() < self.network.loss_rate:
+        eps = self._eps
+        s, d = eps[src], eps[dst]
+        ready = self.now + self._latency(s, d)
+        if self._loss_rate:
+            while self.rng.random() < self._loss_rate:
                 ready += self.retransmit_interval
-        ch = self._channels.get((src, dst))
+        ch = self._channels.get((s, d))
         if ch is None:
-            ch = self._channels[(src, dst)] = _Channel(src, dst)
+            ch = self._channels[(s, d)] = _Channel(s, d)
         ch.queue.append((ready, msg))
         if not ch.poll_scheduled:
             ch.poll_scheduled = True
-            self._push(ready, _CHAN, dst, src, ch)
+            self._push(ready, _CHAN, d, s, ch)
 
     def schedule_timer(self, actor_id, msg: Message, delay: int):
         assert delay >= 0
-        return self._push(self.now + delay, _TIMER, actor_id, actor_id, msg)
+        ep = self._eps[actor_id]
+        return self._push(self.now + delay, _TIMER, ep, ep, msg)
 
     # -- dispatch ---------------------------------------------------------
 
     def _drop(self, t, src, dst, msg):
-        self.dropped.append((t, src, dst, msg.tname))
         if self.on_drop:
-            self.on_drop(t, src, dst, msg.tname)
+            self.on_drop(t, src.id, dst.id, msg.tname)
 
     def step(self):
         """Process the earliest event.  Raises Exhausted on an empty queue."""
+        queue = self._queue
         while True:
-            if not self._queue:
+            if not queue:
                 raise Exhausted()
-            time, eid, kind, target, src, msg = heapq.heappop(self._queue)
+            time, eid, kind, target, src, msg = heapq.heappop(queue)
             assert time >= self.now
             self.now = time
 
-            if kind == _CHAN:
-                self._poll_channel(msg)
-                return eid
+            if kind == _DELIVER:
+                if (target.side != src.side and self._separated(src, target, time)) or (
+                    target.crashes and _within(target.crashes, time)
+                ):
+                    self._drop(time, src, target, msg)
+                    continue
+                cost = target.cost
+                if cost:
+                    if target.busy > time:
+                        # node saturated: requeue preserving arrival order.
+                        # Control messages also wait their turn (so they never
+                        # overtake payload traffic on the same link, which
+                        # would break FIFO channel ordering) but cost nothing.
+                        self._push_direct(target.busy, target, ((src, msg),))
+                        continue
+                    if not msg.control:
+                        target.busy = time + cost
 
-            if kind == _DIRECT:
+            elif kind == _DIRECT:
                 run = msg
                 if run is self._tail:
                     self._tail = None
-                if isinstance(target, NodeId) and self.faults.crashed(target, time):
+                if target.crashes and _within(target.crashes, time):
                     # already past the delivery checks (sitting in the node's
                     # input buffer); a crash delays processing, not receipt
                     self._push_direct(
                         time + self.retransmit_interval, target, run.items, run
                     )
                     continue
-                if self.capacity_cost and isinstance(target, NodeId):
-                    busy = self._busy_until.get(target, 0)
-                    if busy > time:
-                        # node saturated: the whole run waits, in order
-                        self._push_direct(busy, target, run.items, run)
-                        continue
+                cost = target.cost
+                if cost and target.busy > time:
+                    # node saturated: the whole run waits, in order
+                    self._push_direct(target.busy, target, run.items, run)
+                    continue
                 src, msg = run.items.popleft()
                 if run.items:
-                    heapq.heappush(self._queue, (time, eid + 1, _DIRECT, target, None, run))
-                if self.capacity_cost and isinstance(target, NodeId) and not msg.control:
-                    self._busy_until[target] = time + self.capacity_cost
+                    heapq.heappush(queue, (time, eid + 1, _DIRECT, target, None, run))
+                if cost and not msg.control:
+                    target.busy = time + cost
 
-            elif kind == _DELIVER:
-                a, b = self._rep(src), self._rep(target)
-                if self.faults.separated(a, b, time) or (
-                    isinstance(target, NodeId) and self.faults.crashed(target, time)
-                ):
-                    self._drop(time, src, target, msg)
-                    continue
-                if self.capacity_cost and isinstance(target, NodeId):
-                    busy = self._busy_until.get(target, 0)
-                    if busy > time:
-                        # node saturated: requeue preserving arrival order.
-                        # Control messages also wait their turn (so they never
-                        # overtake payload traffic on the same link, which
-                        # would break FIFO channel ordering) but cost nothing.
-                        self._push_direct(busy, target, ((src, msg),))
-                        continue
-                    if not msg.control:
-                        self._busy_until[target] = time + self.capacity_cost
+            elif kind == _CHAN:
+                self._poll_channel(msg)
+                return eid
 
-            handler = self.actors.get(target)
+            handler = self.actors.get(target.id)
             if handler is None:
                 continue
-            self.msg_counts[msg.tname] += 1
+            tname = msg.tname
+            self.msg_counts[tname] += 1
             self.processed += 1
-            self._digest.update(
-                f"{time}:{eid}:{msg.tname}:{target}:{src}".encode()
-            )
-            handler.handle(self, src, msg)
+            lines = self._digest_lines
+            lines.append(f"{time}:{eid}:{tname}:{target.name}:{src.name}")
+            if len(lines) >= _DIGEST_BATCH:
+                self._flush_digest()
+            handler.handle(self, src.id, msg)
             return eid
 
     def _poll_channel(self, ch: _Channel):
         ch.poll_scheduled = False
+        src, dst = ch.src, ch.dst
         while ch.queue:
             ready, msg = ch.queue[0]
-            if ready > self.now:
+            now = self.now
+            if ready > now:
                 ch.poll_scheduled = True
-                self._push(ready, _CHAN, ch.dst, ch.src, ch)
+                self._push(ready, _CHAN, dst, src, ch)
                 return
-            a, b = self._rep(ch.src), self._rep(ch.dst)
-            if self.faults.separated(a, b, self.now) or (
-                isinstance(ch.dst, NodeId) and self.faults.crashed(ch.dst, self.now)
+            if (dst.side != src.side and self._separated(src, dst, now)) or (
+                dst.crashes and _within(dst.crashes, now)
             ):
                 # link down: retransmit later, keep FIFO order
                 ch.poll_scheduled = True
-                self._push(self.now + self.retransmit_interval, _CHAN, ch.dst, ch.src, ch)
+                self._push(now + self.retransmit_interval, _CHAN, dst, src, ch)
                 return
             ch.queue.popleft()
-            self._push_direct(self.now, ch.dst, ((ch.src, msg),))
+            self._push_direct(now, dst, ((src, msg),))
 
     def run(self, until: int = None, max_events: int = None):
         """Process events until the queue empties, `until` is passed, or
         `max_events` have been handled."""
         n = 0
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
+        queue = self._queue
+        step = self.step
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
             try:
-                self.step()
+                step()
             except Exhausted:
                 break
             n += 1
@@ -452,6 +538,13 @@ class Simulation:
             self.now = until
         return n
 
+    def _flush_digest(self):
+        lines = self._digest_lines
+        if lines:
+            self._digest.update("".join(lines).encode())
+            lines.clear()
+
     @property
     def digest(self) -> str:
+        self._flush_digest()
         return self._digest.hexdigest()

@@ -1,6 +1,12 @@
+import copy
+import hashlib
+import pickle
+
 import pytest
 
+from consistency_lab.config import ExperimentConfig, emit_config, parse_config
 from consistency_lab.sim import (
+    ClientId,
     ClockModel,
     CrashInterval,
     Exhausted,
@@ -39,6 +45,12 @@ def make_sim(**kw):
     return Simulation(net, **kw)
 
 
+def record_drops(sim):
+    drops = []
+    sim.on_drop = lambda t, src, dst, tname: drops.append((t, src, dst, tname))
+    return drops
+
+
 def test_zero_delay_intra_dc_delivery():
     sim = make_sim()
     a, b = NodeId(0, 0), NodeId(0, 1)
@@ -58,11 +70,12 @@ def test_partition_drops_message():
     a, b = NodeId(0, 0), NodeId(1, 0)
     rec = Recorder()
     sim.add_actor(b, rec)
+    drops = record_drops(sim)
     sim.send(a, b, Ping())
     with pytest.raises(Exhausted):
         sim.step()
     assert rec.seen == []
-    assert len(sim.dropped) == 1
+    assert len(drops) == 1
 
 
 def test_partition_checked_at_delivery_time():
@@ -85,10 +98,11 @@ def test_crashed_target_drops():
     sim = make_sim(faults=faults)
     rec = Recorder()
     sim.add_actor(NodeId(1, 0), rec)
+    drops = record_drops(sim)
     sim.send(NodeId(0, 0), NodeId(1, 0), Ping())
     with pytest.raises(Exhausted):
         sim.step()
-    assert rec.seen == [] and sim.dropped
+    assert rec.seen == [] and drops
 
 
 def test_tie_break_by_event_id():
@@ -338,3 +352,84 @@ def test_equal_time_arrival_with_lower_id_is_served_before_waiting_run():
     # it goes first at 1.1 ms and pushes them to 2.1 ms; 20 was sent after
     # they took new ids for 2.1 ms, so it waits behind them
     assert log.seen == [(100, 0), (1100, 10), (2100, 1), (3100, 2), (4100, 20)]
+
+
+# -- actor ids and the digest -------------------------------------------------
+
+
+def test_node_and_client_ids_contract():
+    n, c = NodeId(1, 2), ClientId(1, 2)
+    assert n != c and len({n: "node", c: "client"}) == 2
+    assert (str(n), str(c)) == ("1.2", "c1.2")
+    assert (n.dc, n.partition, c.dc, c.index) == (1, 2, 1, 2)
+    assert hash(n) == hash((1, 2))
+    nodes = [NodeId(1, 0), NodeId(0, 3), NodeId(1, 1), NodeId(0, 0)]
+    assert sorted(nodes) == [NodeId(0, 0), NodeId(0, 3), NodeId(1, 0), NodeId(1, 1)]
+    clients = [ClientId(2, 0), ClientId(0, 5), ClientId(0, 1)]
+    assert sorted(clients) == [ClientId(0, 1), ClientId(0, 5), ClientId(2, 0)]
+    for x in (n, c):
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and type(y) is type(x) and str(y) == str(x)
+
+
+def test_node_ids_survive_the_config_text_form():
+    cfg = ExperimentConfig(
+        partitions=[
+            PartitionInterval(frozenset([NodeId(0, 0), NodeId(1, 0)]), 100, 900),
+            PartitionInterval(frozenset([NodeId(2, 0)]), 50, 60),
+        ],
+        crashes=[CrashInterval(NodeId(1, 0), 10, 20)],
+        clock_offsets={NodeId(2, 0): 7},
+    )
+    again = parse_config(emit_config(cfg))
+    assert again.partitions == cfg.partitions and again.crashes == cfg.crashes
+    assert again.clock_offsets == cfg.clock_offsets
+    for iv in again.partitions:
+        assert all(type(n) is NodeId for n in iv.group)
+    assert type(again.crashes[0].node) is NodeId
+
+
+def test_digest_read_between_slices_matches_one_read_at_the_end():
+    def make():
+        sim = Simulation(two_dc_net(jitter=0.2, loss_rate=0.1), net_seed=3)
+        nodes = [NodeId(d, p) for d in range(2) for p in range(2)]
+
+        class Echo:
+            def __init__(self, me):
+                self.me = me
+
+            def handle(self, sim, src, msg):
+                handled.append((sim.now, msg.tname, self.me, src))
+                if sim.now < 300_000:
+                    sim.send(self.me, src, Ping())
+
+        for n in nodes:
+            sim.add_actor(n, Echo(n))
+        for i in range(3_000):
+            sim.send(nodes[i % 4], nodes[(i + 1) % 4], Ping())
+        return sim
+
+    handled = []
+    sim = make()
+    reads = []
+    while sim.run(until=400_000, max_events=1_500):
+        reads.append((sim.processed, sim.digest))
+    once = make()
+    once.run(until=400_000)
+    assert (sim.digest, sim.processed) == (once.digest, once.processed)
+    assert len(reads) > 5
+    # the digest hashes one line per handled event, in order
+    handled.clear()
+    stepped, eids = make(), []
+    while stepped._queue and stepped._queue[0][0] <= 400_000:
+        eids.append(stepped.step())
+    lines = "".join(
+        f"{t}:{eid}:{tname}:{me}:{src}" for eid, (t, tname, me, src) in zip(eids, handled)
+    )
+    assert len(eids) == len(handled) == once.processed
+    assert hashlib.sha256(lines.encode()).hexdigest() == once.digest
+    # each read in between saw every event handled so far
+    for processed, digest in reads[::3]:
+        fresh = make()
+        fresh.run(until=400_000, max_events=processed)
+        assert fresh.digest == digest
