@@ -154,8 +154,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int = None, streams: dict = None
 def _finalize_trace(trace, sim, cfg, mod, servers):
     topo = cfg.topology
     trace.end_time = sim.now
-    faults = cfg.faults()
-    trace.crashed = {n for n in topo.nodes() if faults.crashed(n, sim.now)}
+    trace.crashed = {n for n in topo.nodes() if sim.is_crashed(n)}
     for node, server in servers.items():
         for key, heads in server.final_heads().items():
             trace.final_heads[(node, str(key))] = tuple(heads)

@@ -11,13 +11,18 @@ A protocol is one module that exports:
   key, ``"quorum"`` when only a key's replica set does;
 - ``replica_nodes(key, topo)``, the nodes expected to hold a key's versions.
 
+Servers and clients are Actors: ``handle`` runs the ``on_<msg.tname>`` method
+of the actor's class, and a message with no route raises KeyError.
+
 Clients send the shared Get and Put requests; the replies are GetReply and
 PutReply unless the protocol needs its own.  Clients are closed-loop: each
 issues one operation, waits for the reply (or an operation timeout), records
-the call/response events into the shared history, and moves on.  Client-side
-dependency tracking feeds the omniscient trace: the dependencies of a new
-version are the versions the client observed since its previous PUT, plus
-that previous PUT itself.
+the call/response events into the shared history, and moves on.  Protocols
+adapt the driver through hooks outside the ``on_`` namespace: put_context(),
+get_answered(), put_answered() and retry().  Client-side dependency tracking
+feeds the omniscient trace: the dependencies of a new version are the
+versions the client observed since its previous PUT, plus that previous PUT
+itself.
 """
 
 from __future__ import annotations
@@ -62,12 +67,12 @@ class PutReply(Message):
 
 
 class OpTimeout(Message):
-    __slots__ = ("token",)
+    __slots__ = ("op_id",)
     control = True
     tname = "op_timeout"
 
-    def __init__(self, token):
-        self.token = token
+    def __init__(self, op_id):
+        self.op_id = op_id
 
 
 class StartClient(Message):
@@ -80,10 +85,22 @@ def replica_nodes(key, topo):
     return tuple(primary_node(key, topo, d) for d in range(topo.num_datacenters))
 
 
-class BaseClient:
+class Actor:
+    """Routes each message to the ``on_<tname>`` method of its class.  The
+    table is built when the class is defined, so a handler patched onto a
+    built class is not routed: replace a handler by subclassing."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._routes = {name[3:]: getattr(cls, name) for name in dir(cls) if name.startswith("on_")}
+
+    def handle(self, sim, src, msg):
+        self._routes[msg.tname](self, sim, src, msg)
+
+
+class BaseClient(Actor):
     """Closed-loop workload driver.  A request goes to the key's primary in
-    the client's datacenter; protocol subclasses supply put_context() and
-    extend on_reply()."""
+    the client's datacenter."""
 
     def __init__(self, cid, ops, harness):
         self.cid = cid
@@ -92,8 +109,7 @@ class BaseClient:
         self.op_timeout = harness.cfg.run.op_timeout
         self.idx = 0
         self.done = len(ops) == 0
-        self.token = 0
-        self.cur_op_id = None
+        self.cur_op_id = None  # None between ops: every reply or timeout is stale
         self.issue_time = 0
         self.dep_vids = set()
 
@@ -102,15 +118,20 @@ class BaseClient:
     def start(self, sim, offset=0):
         sim.schedule_timer(self.cid, StartClient(), offset)
 
-    def handle(self, sim, src, msg):
-        if isinstance(msg, StartClient):
-            self.issue_next(sim)
-        elif isinstance(msg, OpTimeout):
-            if not self.done and msg.token == self.token:
-                if not self.on_timeout(sim):
-                    self.fail_op(sim)
-        elif msg.op_id == self.cur_op_id:  # else a stale reply to a timed-out op
-            self.on_reply(sim, src, msg)
+    def on_start(self, sim, src, msg):
+        self.issue_next(sim)
+
+    def on_op_timeout(self, sim, src, msg):
+        if msg.op_id == self.cur_op_id and not self.retry(sim):
+            self.finish_op(sim, ok=False)
+
+    def on_get_reply(self, sim, src, msg):
+        if msg.op_id == self.cur_op_id:  # else a stale reply to a finished op
+            self.get_answered(sim, src, msg)
+
+    def on_put_reply(self, sim, src, msg):
+        if msg.op_id == self.cur_op_id:
+            self.put_answered(sim, src, msg)
 
     # -- op lifecycle -----------------------------------------------------
 
@@ -120,7 +141,6 @@ class BaseClient:
             self.harness.client_done(sim, self)
             return
         kind, key, value = self.ops[self.idx]
-        self.token += 1
         self.cur_op_id = self.harness.next_op_id()
         self.issue_time = sim.now
         if kind == PUT:
@@ -128,22 +148,20 @@ class BaseClient:
         else:
             self.harness.history.record_call(str(self.cid), GET, key, None, self.cur_op_id)
         self.send_request(sim, kind, key, value)
-        sim.schedule_timer(self.cid, OpTimeout(self.token), self.op_timeout)
+        sim.schedule_timer(self.cid, OpTimeout(self.cur_op_id), self.op_timeout)
 
     def complete_op(self, sim, kind, key, value=None):
         """Record a successful response and advance."""
         self.harness.history.record_resp(
             str(self.cid), kind, key, value if kind == GET else None, self.cur_op_id
         )
-        self.harness.op_finished(sim, self, ok=True)
-        self.token += 1  # invalidate the pending timeout
-        self.idx += 1
-        self.issue_next(sim)
+        self.finish_op(sim, ok=True)
 
-    def fail_op(self, sim):
-        """Unanswered or failed operation: no response event is recorded."""
-        self.harness.op_finished(sim, self, ok=False)
-        self.token += 1
+    def finish_op(self, sim, ok):
+        """Count the current op and issue the next.  A failed (unanswered or
+        refused) op records no response event."""
+        self.harness.op_finished(sim, self, ok)
+        self.cur_op_id = None
         self.idx += 1
         self.issue_next(sim)
 
@@ -179,21 +197,23 @@ class BaseClient:
         """The protocol context a PUT carries to its coordinator."""
         return None
 
-    def on_reply(self, sim, src, msg):
-        """A GetReply or PutReply to the current op."""
-        if isinstance(msg, GetReply):
-            self.observe(msg.vid)
-            self.complete_op(sim, GET, msg.key, msg.value)
-        else:
-            self.wrote(msg.vid)
-            self.complete_op(sim, PUT, msg.key)
+    def get_answered(self, sim, src, msg):
+        """A GetReply to the current op."""
+        self.observe(msg.vid)
+        self.complete_op(sim, GET, msg.key, msg.value)
 
-    def on_timeout(self, sim) -> bool:
-        """Return True if the op was re-issued (retry), False to fail it."""
+    def put_answered(self, sim, src, msg):
+        """A PutReply to the current op."""
+        self.wrote(msg.vid)
+        self.complete_op(sim, PUT, msg.key)
+
+    def retry(self, sim) -> bool:
+        """The current op timed out: return True if it was re-issued, False
+        to fail it."""
         return False
 
 
-class ServerNode:
+class ServerNode(Actor):
     put_wait_total = 0  # accumulated clock-skew write stalls, us
 
     def __init__(self, node, topo, trace):
@@ -208,9 +228,6 @@ class ServerNode:
 
     def start(self, sim, offset=0):
         """Hook for protocols with periodic background work."""
-
-    def handle(self, sim, src, msg):
-        raise NotImplementedError
 
     def final_heads(self):
         """key -> tuple of head vids at end of run (protocol-visible)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..history import PUT
 from ..sim import Message, NodeId
 from ..store import LamportClock, node_index, partition_for_key
-from .base import BaseClient, Get, GetReply, Put, PutReply, ServerNode, replica_nodes
+from .base import BaseClient, GetReply, PutReply, ServerNode, replica_nodes
 
 # version stamp of the initial (never written) value; always visible
 INITIAL_VER = (0, -1)
@@ -72,78 +72,77 @@ class CopsServer(ServerNode):
                 _, src, token = waiter
                 sim.send(self.node, src, DepCheckReply(token))
             else:  # a local pending install was waiting on this version
-                rec = waiter[1]
-                rec[0] -= 1
-                if rec[0] == 0:
-                    m = rec[1]
-                    self._install(sim, m.key, m.ver, m.value, m.vid)
+                self._release(sim, waiter[1])
+
+    def _release(self, sim, rec):
+        """One dependency of a pending install is met; install at the last."""
+        rec[0] -= 1
+        if rec[0] == 0:
+            m = rec[1]
+            self._install(sim, m.key, m.ver, m.value, m.vid)
 
     # -- message handling --------------------------------------------------
 
-    def handle(self, sim, src, msg):
-        if isinstance(msg, Get):
-            head = self.head.get(msg.key)
-            if head is None:
-                reply = GetReply(msg.op_id, msg.key, None, INITIAL_VER, None)
-            else:
-                reply = GetReply(msg.op_id, msg.key, head[1], head[0], head[2])
-            sim.send(self.node, msg.client, reply)
+    def on_get(self, sim, src, msg):
+        head = self.head.get(msg.key)
+        if head is None:
+            reply = GetReply(msg.op_id, msg.key, None, INITIAL_VER, None)
+        else:
+            reply = GetReply(msg.op_id, msg.key, head[1], head[0], head[2])
+        sim.send(self.node, msg.client, reply)
 
-        elif isinstance(msg, Put):
-            for ver in msg.context.values():
-                self.lamport.merge(ver)
-            ver = self.lamport.issue()
-            vid = self.trace.new_version(
-                msg.key, msg.value, self.node, sim.now, msg.dep_vids, stamp=ver
-            )
-            self._install(sim, msg.key, ver, msg.value, vid)
-            sim.send(self.node, msg.client, PutReply(msg.op_id, msg.key, ver, vid))
-            for dc in range(self.topo.num_datacenters):
-                if dc != self.node.dc:
-                    sim.send(
-                        self.node,
-                        NodeId(dc, self.node.partition),
-                        PutAfter(msg.key, msg.value, ver, msg.context, vid),
-                    )
-
-        elif isinstance(msg, PutAfter):
-            self.lamport.merge(msg.ver)
-            rec = [0, msg]
-            for k2, ver2 in sorted(msg.context.items()):
-                if ver2 == INITIAL_VER:
-                    continue
-                p2 = partition_for_key(k2, self.topo.partitions_per_dc)
-                if p2 == self.node.partition:
-                    if not self._is_visible(k2, ver2):
-                        rec[0] += 1
-                        self.parked.setdefault((k2, ver2), []).append(("local", rec))
-                else:
-                    rec[0] += 1
-                    self._token += 1
-                    self.pending[self._token] = rec
-                    sim.send(
-                        self.node,
-                        NodeId(self.node.dc, p2),
-                        DepCheck(k2, ver2, self._token),
-                    )
-            if rec[0] == 0:
-                self._install(sim, msg.key, msg.ver, msg.value, msg.vid)
-
-        elif isinstance(msg, DepCheck):
-            if self._is_visible(msg.key, msg.ver):
-                sim.send(self.node, src, DepCheckReply(msg.token))
-            else:
-                self.parked.setdefault((msg.key, msg.ver), []).append(
-                    ("check", src, msg.token)
+    def on_put(self, sim, src, msg):
+        for ver in msg.context.values():
+            self.lamport.merge(ver)
+        ver = self.lamport.issue()
+        vid = self.trace.new_version(
+            msg.key, msg.value, self.node, sim.now, msg.dep_vids, stamp=ver
+        )
+        self._install(sim, msg.key, ver, msg.value, vid)
+        sim.send(self.node, msg.client, PutReply(msg.op_id, msg.key, ver, vid))
+        for dc in range(self.topo.num_datacenters):
+            if dc != self.node.dc:
+                sim.send(
+                    self.node,
+                    NodeId(dc, self.node.partition),
+                    PutAfter(msg.key, msg.value, ver, msg.context, vid),
                 )
 
-        elif isinstance(msg, DepCheckReply):
-            rec = self.pending.pop(msg.token, None)
-            if rec is not None:
-                rec[0] -= 1
-                if rec[0] == 0:
-                    m = rec[1]
-                    self._install(sim, m.key, m.ver, m.value, m.vid)
+    def on_put_after(self, sim, src, msg):
+        self.lamport.merge(msg.ver)
+        rec = [0, msg]
+        for k2, ver2 in sorted(msg.context.items()):
+            if ver2 == INITIAL_VER:
+                continue
+            p2 = partition_for_key(k2, self.topo.partitions_per_dc)
+            if p2 == self.node.partition:
+                if not self._is_visible(k2, ver2):
+                    rec[0] += 1
+                    self.parked.setdefault((k2, ver2), []).append(("local", rec))
+            else:
+                rec[0] += 1
+                self._token += 1
+                self.pending[self._token] = rec
+                sim.send(
+                    self.node,
+                    NodeId(self.node.dc, p2),
+                    DepCheck(k2, ver2, self._token),
+                )
+        if rec[0] == 0:
+            self._install(sim, msg.key, msg.ver, msg.value, msg.vid)
+
+    def on_dep_check(self, sim, src, msg):
+        if self._is_visible(msg.key, msg.ver):
+            sim.send(self.node, src, DepCheckReply(msg.token))
+        else:
+            self.parked.setdefault((msg.key, msg.ver), []).append(
+                ("check", src, msg.token)
+            )
+
+    def on_dep_check_reply(self, sim, src, msg):
+        rec = self.pending.pop(msg.token, None)
+        if rec is not None:
+            self._release(sim, rec)
 
     def final_heads(self):
         return {key: (vid,) for key, (_, _, vid) in self.head.items()}
@@ -157,19 +156,19 @@ class CopsClient(BaseClient):
     def put_context(self):
         return dict(self.context)
 
-    def on_reply(self, sim, src, msg):
-        if isinstance(msg, GetReply):
-            if msg.stamp > self.context.get(msg.key, INITIAL_VER):
-                self.context[msg.key] = msg.stamp
-            super().on_reply(sim, src, msg)
+    def get_answered(self, sim, src, msg):
+        if msg.stamp > self.context.get(msg.key, INITIAL_VER):
+            self.context[msg.key] = msg.stamp
+        super().get_answered(sim, src, msg)
+
+    def put_answered(self, sim, src, msg):
+        compaction = self.harness.topo.context_compaction
+        if compaction:
+            self.context = {msg.key: msg.stamp}
         else:
-            compaction = self.harness.topo.context_compaction
-            if compaction:
-                self.context = {msg.key: msg.stamp}
-            else:
-                self.context[msg.key] = msg.stamp
-            self.wrote(msg.vid, compaction)
-            self.complete_op(sim, PUT, msg.key)
+            self.context[msg.key] = msg.stamp
+        self.wrote(msg.vid, compaction)
+        self.complete_op(sim, PUT, msg.key)
 
 
 CLIENT = CopsClient

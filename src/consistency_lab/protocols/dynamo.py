@@ -30,7 +30,7 @@ from ..store import (
     vc_key,
     vc_merge,
 )
-from .base import BaseClient, Get, OpTimeout, Put, ServerNode
+from .base import BaseClient, OpTimeout, ServerNode
 
 
 def _mix(key: int) -> int:
@@ -170,37 +170,64 @@ def install(store, key, version):
     return keep
 
 
+class _Detector(dict):
+    """Failure detector: peer -> [last_ok, last_fail].  A peer is suspected
+    for `window` us after a failure newer than its last success."""
+
+    def __init__(self, window):
+        self.window = window
+
+    def ok(self, peer, now):
+        self.setdefault(peer, [-1, -1])[0] = now
+
+    def fail(self, peer, now):
+        self.setdefault(peer, [-1, -1])[1] = now
+
+    def healthy(self, peer, now) -> bool:
+        st = self.get(peer)
+        return not (st and st[1] > st[0] and now - st[1] < self.window)
+
+
+class _PutRec:
+    """A coordinated PUT: its request, the version it made, and the store
+    targets tried so far."""
+
+    __slots__ = ("msg", "version", "pref", "acks", "used", "hint_map", "replied", "completed")
+
+    def __init__(self, msg, version, pref, used, hint_map):
+        self.msg, self.version, self.pref = msg, version, pref
+        self.acks = set()
+        self.used, self.hint_map = used, hint_map
+        self.replied = self.completed = False
+
+
+class _GetRec:
+    """A coordinated GET: its request and the versions collected so far from
+    `count` responses."""
+
+    __slots__ = ("msg", "versions", "count")
+
+    def __init__(self, msg, versions):
+        self.msg, self.versions = msg, versions
+        self.count = 1  # our own store is the first response
+
+
 class DynamoServer(ServerNode):
     def __init__(self, node, topo, trace, quorum_timeout=10_000, suspicion=50_000):
         super().__init__(node, topo, trace)
         self.quorum_timeout = quorum_timeout
-        self.suspicion = suspicion
         self.store = {}  # key -> list of maximal (vid, value, vc) versions
         self.counters = {}  # key -> our own highest issued vc entry
         self.hints = []  # (intended NodeId, key, version)
-        self.detector = {}  # peer -> [last_ok, last_fail]
-        self.pending_put = {}
-        self.pending_get = {}
+        self.detector = _Detector(suspicion)
+        self.pending_put = {}  # token -> _PutRec
+        self.pending_get = {}  # token -> _GetRec, until answered or timed out
         self._token = 0
         self._probe_scheduled = False
 
     @classmethod
     def from_config(cls, node, trace, cfg):
         return cls(node, cfg.topology, trace, cfg.quorum_timeout(), cfg.run.suspicion_window)
-
-    # -- failure detection -------------------------------------------------
-
-    def _mark_ok(self, sim, peer):
-        self.detector.setdefault(peer, [-1, -1])[0] = sim.now
-
-    def _mark_fail(self, sim, peer):
-        self.detector.setdefault(peer, [-1, -1])[1] = sim.now
-
-    def _healthy(self, sim, peer) -> bool:
-        st = self.detector.get(peer)
-        if st and st[1] > st[0] and sim.now - st[1] < self.suspicion:
-            return False
-        return True
 
     # -- replica-set choice ------------------------------------------------
 
@@ -214,7 +241,7 @@ class DynamoServer(ServerNode):
                 continue
             if len(targets) == n - 1:
                 break
-            if self._healthy(sim, node):
+            if self.detector.healthy(node, sim.now):
                 targets.append(node)
         owners = pref[: n]
         skipped = [o for o in owners if o != self.node and o not in targets]
@@ -225,52 +252,29 @@ class DynamoServer(ServerNode):
     def _schedule_probe(self, sim):
         if not self._probe_scheduled:
             self._probe_scheduled = True
-            sim.schedule_timer(self.node, _ProbeTick(), self.suspicion)
+            sim.schedule_timer(self.node, _ProbeTick(), self.detector.window)
 
-    # -- message handling --------------------------------------------------
+    # -- replicas ----------------------------------------------------------
 
-    def handle(self, sim, src, msg):
-        if isinstance(msg, Put):
-            self._coordinate_put(sim, msg)
-        elif isinstance(msg, Get):
-            self._coordinate_get(sim, msg)
-        elif isinstance(msg, DStore):
-            install(self.store, msg.key, msg.version)
-            self.trace.record_visible(msg.version[0], self.node, sim.now)
-            if msg.hint_for is not None and msg.hint_for != self.node:
-                self.hints.append((msg.hint_for, msg.key, msg.version))
-                self._schedule_probe(sim)
-            if msg.token is not None:
-                sim.send(self.node, src, DStoreAck(msg.token))
-        elif isinstance(msg, DStoreAck):
-            self._on_store_ack(sim, src, msg)
-        elif isinstance(msg, DRead):
-            versions = tuple(self.store.get(msg.key, ()))
-            sim.send(self.node, src, DReadReply(msg.token, versions))
-        elif isinstance(msg, DReadReply):
-            self._on_read_reply(sim, src, msg)
-        elif isinstance(msg, DPing):
-            sim.send(self.node, src, DPong())
-        elif isinstance(msg, DPong):
-            self._mark_ok(sim, src)
-            self._handoff(sim, src)
-        elif isinstance(msg, _ProbeTick):
-            self._probe_scheduled = False
-            if self.hints and not sim.is_crashed(self.node):
-                for intended in sorted({h[0] for h in self.hints}):
-                    sim.send(self.node, intended, DPing())
-                self._schedule_probe(sim)
-        elif isinstance(msg, _QTimer):
-            if msg.token in self.pending_put:
-                self._on_quorum_timeout(sim, msg.token)
-            else:
-                self._on_quorum_timeout_get(sim, msg.token)
-        elif isinstance(msg, _TTimer):
-            self._on_target_timeout(sim, msg.token, msg.target)
+    def on_store(self, sim, src, msg):
+        install(self.store, msg.key, msg.version)
+        self.trace.record_visible(msg.version[0], self.node, sim.now)
+        if msg.hint_for is not None and msg.hint_for != self.node:
+            self.hints.append((msg.hint_for, msg.key, msg.version))
+            self._schedule_probe(sim)
+        if msg.token is not None:
+            sim.send(self.node, src, DStoreAck(msg.token))
+
+    def on_read(self, sim, src, msg):
+        versions = tuple(self.store.get(msg.key, ()))
+        sim.send(self.node, src, DReadReply(msg.token, versions))
+
+    def on_ping(self, sim, src, msg):
+        sim.send(self.node, src, DPong())
 
     # -- writes ------------------------------------------------------------
 
-    def _coordinate_put(self, sim, msg):
+    def on_put(self, sim, src, msg):
         # our vc entry must stay monotone per key across client sessions, or
         # two empty-context writes through us would collide on the same clock
         idx = node_index(self.node, self.topo.partitions_per_dc)
@@ -287,21 +291,7 @@ class DynamoServer(ServerNode):
 
         pref = preference_list(msg.key, self.topo)
         targets, hint_map = self._choose(sim, pref)
-        rec = {
-            "client": msg.client,
-            "op_id": msg.op_id,
-            "key": msg.key,
-            "vid": vid,
-            "vc": vc,
-            "version": version,
-            "pref": pref,
-            "acks": set(),
-            "needed": self.topo.w - 1,
-            "used": set(targets) | {self.node},
-            "hint_map": hint_map,
-            "replied": False,
-            "completed": False,
-        }
+        rec = _PutRec(msg, version, pref, set(targets) | {self.node}, hint_map)
         self._token += 1
         token = self._token
         self.pending_put[token] = rec
@@ -312,118 +302,109 @@ class DynamoServer(ServerNode):
                 DStore(msg.key, version, hint_map.get(t), token),
             )
             sim.schedule_timer(self.node, _TTimer(token, t), self.quorum_timeout)
-        if rec["needed"] <= 0:
-            self._finish_put(sim, token, rec)
+        if self.topo.w <= 1:
+            self._finish_put(sim, rec)
         else:
             sim.schedule_timer(self.node, _QTimer(token), self.quorum_timeout)
 
-    def _finish_put(self, sim, token, rec):
-        if not rec["completed"]:
-            rec["completed"] = True
-            self.trace.record_completion(rec["vid"], sim.now)
-        if not rec["replied"]:
-            rec["replied"] = True
-            sim.send(
-                self.node,
-                rec["client"],
-                DPutReply(rec["op_id"], True, dict(rec["vc"]), rec["vid"]),
-            )
+    def _finish_put(self, sim, rec):
+        vid, _, vc = rec.version
+        if not rec.completed:
+            rec.completed = True
+            self.trace.record_completion(vid, sim.now)
+        if not rec.replied:
+            rec.replied = True
+            sim.send(self.node, rec.msg.client, DPutReply(rec.msg.op_id, True, dict(vc), vid))
 
-    def _on_store_ack(self, sim, src, msg):
-        self._mark_ok(sim, src)
+    def on_store_ack(self, sim, src, msg):
+        self.detector.ok(src, sim.now)
         rec = self.pending_put.get(msg.token)
         if rec is None:
             return
-        rec["acks"].add(src)
-        if len(rec["acks"]) >= rec["needed"]:
-            self._finish_put(sim, msg.token, rec)
+        rec.acks.add(src)
+        if len(rec.acks) >= self.topo.w - 1:
+            self._finish_put(sim, rec)
 
-    def _on_target_timeout(self, sim, token, target):
-        rec = self.pending_put.get(token)
-        if rec is None or target in rec["acks"]:
+    def on_target_timer(self, sim, src, msg):
+        rec = self.pending_put.get(msg.token)
+        if rec is None or msg.target in rec.acks:
             return
-        self._mark_fail(sim, target)
-        owner = rec["hint_map"].get(target, target)
-        for cand in rec["pref"]:
-            if cand in rec["used"] or not self._healthy(sim, cand):
+        self.detector.fail(msg.target, sim.now)
+        owner = rec.hint_map.get(msg.target, msg.target)
+        for cand in rec.pref:
+            if cand in rec.used or not self.detector.healthy(cand, sim.now):
                 continue
-            rec["used"].add(cand)
-            rec["hint_map"][cand] = owner
+            rec.used.add(cand)
+            rec.hint_map[cand] = owner
             sim.send(
                 self.node,
                 cand,
-                DStore(rec["key"], rec["version"], owner, token),
+                DStore(rec.msg.key, rec.version, owner, msg.token),
             )
-            sim.schedule_timer(self.node, _TTimer(token, cand), self.quorum_timeout)
+            sim.schedule_timer(self.node, _TTimer(msg.token, cand), self.quorum_timeout)
             return
 
-    def _on_quorum_timeout(self, sim, token):
-        rec = self.pending_put.get(token)
-        if rec is None or rec["replied"]:
+    def on_quorum_timer(self, sim, src, msg):
+        """No quorum in time: refuse the op, unless it was answered."""
+        rec = self.pending_get.pop(msg.token, None)
+        if rec is not None:
+            sim.send(self.node, rec.msg.client, DGetReply(rec.msg.op_id, False))
             return
-        rec["replied"] = True
-        sim.send(self.node, rec["client"], DPutReply(rec["op_id"], False))
+        rec = self.pending_put.get(msg.token)
+        if rec is not None and not rec.replied:
+            rec.replied = True
+            sim.send(self.node, rec.msg.client, DPutReply(rec.msg.op_id, False))
 
     # -- reads -------------------------------------------------------------
 
-    def _coordinate_get(self, sim, msg):
+    def on_get(self, sim, src, msg):
         pref = preference_list(msg.key, self.topo)
         targets, _ = self._choose(sim, pref)
-        rec = {
-            "client": msg.client,
-            "op_id": msg.op_id,
-            "key": msg.key,
-            "versions": list(self.store.get(msg.key, ())),
-            "count": 1,  # our own store is the first response
-            "needed": self.topo.r,
-            "replied": False,
-        }
+        rec = _GetRec(msg, list(self.store.get(msg.key, ())))
         self._token += 1
         token = self._token
-        self.pending_get[token] = rec
-        if rec["count"] >= rec["needed"]:
+        if rec.count >= self.topo.r:
             self._finish_get(sim, rec)
             return
+        self.pending_get[token] = rec
         for t in targets:
             sim.send(self.node, t, DRead(msg.key, token))
         sim.schedule_timer(self.node, _QTimer(token), self.quorum_timeout)
 
     def _finish_get(self, sim, rec):
-        if rec["replied"]:
-            return
-        rec["replied"] = True
+        key = rec.msg.key
         merged = {}
-        for v in rec["versions"]:
-            install(merged, rec["key"], v)
-        result = tuple(
-            sorted(merged.get(rec["key"], ()), key=lambda v: (vc_key(v[2]), v[0]))
-        )
-        sim.send(self.node, rec["client"], DGetReply(rec["op_id"], True, result))
+        for v in rec.versions:
+            install(merged, key, v)
+        result = tuple(sorted(merged.get(key, ()), key=lambda v: (vc_key(v[2]), v[0])))
+        sim.send(self.node, rec.msg.client, DGetReply(rec.msg.op_id, True, result))
 
-    def _on_read_reply(self, sim, src, msg):
-        self._mark_ok(sim, src)
+    def on_read_reply(self, sim, src, msg):
+        self.detector.ok(src, sim.now)
         rec = self.pending_get.get(msg.token)
-        if rec is None or rec["replied"]:
+        if rec is None:
             return
-        rec["versions"].extend(msg.versions)
-        rec["count"] += 1
-        if rec["count"] >= rec["needed"]:
+        rec.versions.extend(msg.versions)
+        rec.count += 1
+        if rec.count >= self.topo.r:
+            del self.pending_get[msg.token]
             self._finish_get(sim, rec)
-
-    # quorum timeout for reads reuses _QTimer; distinguish by table lookup
-    def _on_quorum_timeout_get(self, sim, token):
-        rec = self.pending_get.get(token)
-        if rec is None or rec["replied"]:
-            return
-        rec["replied"] = True
-        sim.send(self.node, rec["client"], DGetReply(rec["op_id"], False))
 
     # -- hinted handoff ----------------------------------------------------
 
-    def _handoff(self, sim, recovered):
+    def on_probe_tick(self, sim, src, msg):
+        self._probe_scheduled = False
+        if self.hints and not sim.is_crashed(self.node):
+            for intended in sorted({h[0] for h in self.hints}):
+                sim.send(self.node, intended, DPing())
+            self._schedule_probe(sim)
+
+    def on_pong(self, sim, src, msg):
+        """`src` answers again: hand it the versions we hold for it."""
+        self.detector.ok(src, sim.now)
         remaining = []
         for intended, key, version in self.hints:
-            if intended == recovered:
+            if intended == src:
                 sim.send_reliable(self.node, intended, DStore(key, version))
                 if self.node not in replica_nodes(key, self.topo):
                     # we were only a stand-in: drop our copy
@@ -450,23 +431,16 @@ class DynamoClient(BaseClient):
         cfg = harness.cfg
         # the client must outwait the coordinator's quorum timeout
         self.op_timeout = max(self.op_timeout, 2 * cfg.quorum_timeout())
-        self.suspicion = cfg.run.suspicion_window
         self.context_vc = {}  # merged vector clock of every version seen
-        self.detector = {}
+        self.detector = _Detector(cfg.run.suspicion_window)
         self.attempted = set()
-
-    def _healthy(self, sim, node) -> bool:
-        st = self.detector.get(node)
-        if st and st[1] > st[0] and sim.now - st[1] < self.suspicion:
-            return False
-        return True
 
     def _pick_coordinator(self, sim, key):
         pref = preference_list(key, self.harness.topo)
         for node in pref:
             if node in self.attempted:
                 continue
-            if self._healthy(sim, node):
+            if self.detector.healthy(node, sim.now):
                 return node
         for node in pref:  # all suspected: try them anyway, in order
             if node not in self.attempted:
@@ -488,33 +462,37 @@ class DynamoClient(BaseClient):
     def put_context(self):
         return dict(self.context_vc)
 
-    def on_timeout(self, sim) -> bool:
-        self.detector.setdefault(self.coord, [-1, -1])[1] = sim.now
+    def retry(self, sim) -> bool:
+        self.detector.fail(self.coord, sim.now)
         kind, key, value = self.ops[self.idx]
         pref = preference_list(key, self.harness.topo)
         if self.attempted >= set(pref):
             return False  # exhausted the preference list: fail the op
         self._issue_attempt(sim, kind, key, value)
-        sim.schedule_timer(self.cid, OpTimeout(self.token), self.op_timeout)
+        sim.schedule_timer(self.cid, OpTimeout(self.cur_op_id), self.op_timeout)
         return True
 
-    def on_reply(self, sim, src, msg):
-        self.detector.setdefault(src, [-1, -1])[0] = sim.now
+    def _answered(self, sim, src, msg) -> bool:
+        """Note the coordinator alive; fail the op if it refused."""
+        self.detector.ok(src, sim.now)
         if not msg.ok:
-            self.fail_op(sim)
-            return
-        kind, key, _ = self.ops[self.idx]
-        if isinstance(msg, DPutReply):
+            self.finish_op(sim, ok=False)
+        return msg.ok
+
+    def put_answered(self, sim, src, msg):
+        if self._answered(sim, src, msg):
             self.context_vc = msg.vc
             self.wrote(msg.vid)
-            self.complete_op(sim, PUT, key)
-        else:
+            self.complete_op(sim, PUT, self.ops[self.idx][1])
+
+    def get_answered(self, sim, src, msg):
+        if self._answered(sim, src, msg):
             for vid, _v, vc in msg.versions:
                 self.observe(vid)
                 self.context_vc = vc_merge(self.context_vc, vc)
             # deterministic representative of the sibling set
             value = msg.versions[-1][1] if msg.versions else None
-            self.complete_op(sim, GET, key, value)
+            self.complete_op(sim, GET, self.ops[self.idx][1], value)
 
 
 CLIENT = DynamoClient

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..sim import Message, NodeId
 from ..store import LamportClock, node_index
-from .base import BaseClient, Get, GetReply, Put, PutReply, ServerNode, replica_nodes
+from .base import BaseClient, GetReply, PutReply, ServerNode, replica_nodes
 
 
 class EReplicate(Message):
@@ -33,31 +33,32 @@ class EventualServer(ServerNode):
             self.head[key] = (ver, value, vid)
         self.trace.record_visible(vid, self.node, sim.now)
 
-    def handle(self, sim, src, msg):
-        if isinstance(msg, Get):
-            cur = self.head.get(msg.key)
-            if cur is None:
-                reply = GetReply(msg.op_id, msg.key, None, None, None)
-            else:
-                reply = GetReply(msg.op_id, msg.key, cur[1], cur[0], cur[2])
-            sim.send(self.node, msg.client, reply)
-        elif isinstance(msg, Put):
-            ver = self.lamport.issue()
-            vid = self.trace.new_version(
-                msg.key, msg.value, self.node, sim.now, msg.dep_vids, stamp=ver
-            )
-            self._install(sim, msg.key, ver, msg.value, vid)
-            sim.send(self.node, msg.client, PutReply(msg.op_id, msg.key, ver, vid))
-            for dc in range(self.topo.num_datacenters):
-                if dc != self.node.dc:
-                    sim.send(
-                        self.node,
-                        NodeId(dc, self.node.partition),
-                        EReplicate(msg.key, msg.value, ver, vid),
-                    )
-        elif isinstance(msg, EReplicate):
-            self.lamport.merge(msg.ver)
-            self._install(sim, msg.key, msg.ver, msg.value, msg.vid)
+    def on_get(self, sim, src, msg):
+        cur = self.head.get(msg.key)
+        if cur is None:
+            reply = GetReply(msg.op_id, msg.key, None, None, None)
+        else:
+            reply = GetReply(msg.op_id, msg.key, cur[1], cur[0], cur[2])
+        sim.send(self.node, msg.client, reply)
+
+    def on_put(self, sim, src, msg):
+        ver = self.lamport.issue()
+        vid = self.trace.new_version(
+            msg.key, msg.value, self.node, sim.now, msg.dep_vids, stamp=ver
+        )
+        self._install(sim, msg.key, ver, msg.value, vid)
+        sim.send(self.node, msg.client, PutReply(msg.op_id, msg.key, ver, vid))
+        for dc in range(self.topo.num_datacenters):
+            if dc != self.node.dc:
+                sim.send(
+                    self.node,
+                    NodeId(dc, self.node.partition),
+                    EReplicate(msg.key, msg.value, ver, vid),
+                )
+
+    def on_replicate(self, sim, src, msg):
+        self.lamport.merge(msg.ver)
+        self._install(sim, msg.key, msg.ver, msg.value, msg.vid)
 
     def final_heads(self):
         return {key: (vid,) for key, (_, _, vid) in self.head.items()}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 
 from ..sim import Message, NodeId
-from .base import BaseClient, Get, GetReply, Put, PutReply, ServerNode, replica_nodes
+from .base import BaseClient, GetReply, PutReply, ServerNode, replica_nodes
 
 ZERO = (0, 0)
 
@@ -184,73 +184,72 @@ class GentleRainServer(ServerNode):
 
     # -- message handling --------------------------------------------------
 
-    def handle(self, sim, src, msg):
-        if isinstance(msg, Get):
-            head = self.visible_head.get(msg.key)
-            if head is None:
-                reply = GetReply(msg.op_id, msg.key, None, ZERO, None)
-            else:
-                reply = GetReply(msg.op_id, msg.key, head[2], head[0], head[3])
-            sim.send(self.node, msg.client, reply)
+    def on_get(self, sim, src, msg):
+        head = self.visible_head.get(msg.key)
+        if head is None:
+            reply = GetReply(msg.op_id, msg.key, None, ZERO, None)
+        else:
+            reply = GetReply(msg.op_id, msg.key, head[2], head[0], head[3])
+        sim.send(self.node, msg.client, reply)
 
-        elif isinstance(msg, Put):
-            self._put(sim, msg, sim.now)
+    def on_put(self, sim, src, msg):
+        self._put(sim, msg, sim.now)
 
-        elif isinstance(msg, GReplicate):
-            if msg.t > self.vv[msg.origin]:
-                self.vv[msg.origin] = msg.t
-            if msg.t <= self.gst:
-                self._make_readable(sim, msg.key, msg.t, msg.origin, msg.value, msg.vid)
-            else:
-                heapq.heappush(
-                    self.pending,
-                    (msg.t[0], msg.t[1], msg.origin, msg.key, msg.value, msg.vid),
+    def on_put_retry(self, sim, src, msg):
+        if not sim.is_crashed(self.node):  # else it dies with the node
+            self._put(sim, msg.msg, msg.arrival)
+
+    def on_replicate(self, sim, src, msg):
+        if msg.t > self.vv[msg.origin]:
+            self.vv[msg.origin] = msg.t
+        if msg.t <= self.gst:
+            self._make_readable(sim, msg.key, msg.t, msg.origin, msg.value, msg.vid)
+        else:
+            heapq.heappush(
+                self.pending,
+                (msg.t[0], msg.t[1], msg.origin, msg.key, msg.value, msg.vid),
+            )
+
+    def on_heartbeat(self, sim, src, msg):
+        origin = src.dc
+        if origin in self.vv and msg.t > self.vv[origin]:
+            self.vv[origin] = msg.t
+
+    def on_lst(self, sim, src, msg):
+        old = self.lst_table.get(msg.partition)
+        if old is None or msg.lst > old:
+            self.lst_table[msg.partition] = msg.lst
+        self._aggregate_gst(sim)
+
+    def on_gst_adopt(self, sim, src, msg):
+        # adopted even while crashed: the cutoff is a datacenter-wide
+        # fact, and a recovering node re-derives it before serving reads
+        self._adopt_gst(sim, msg.gst)
+
+    def on_hb_tick(self, sim, src, msg):
+        if not sim.is_crashed(self.node):
+            t = self.next_stamp(sim)
+            for dc in self.peers:
+                sim.send_reliable(
+                    self.node, NodeId(dc, self.node.partition), GHeartbeat(t)
                 )
+        sim.schedule_timer(self.node, _HbTick(), self.topo.heartbeat_interval)
 
-        elif isinstance(msg, GHeartbeat):
-            origin = src.dc
-            if origin in self.vv and msg.t > self.vv[origin]:
-                self.vv[origin] = msg.t
-
-        elif isinstance(msg, GLst):
-            old = self.lst_table.get(msg.partition)
-            if old is None or msg.lst > old:
-                self.lst_table[msg.partition] = msg.lst
-            self._aggregate_gst(sim)
-
-        elif isinstance(msg, _GstAdopt):
-            # adopted even while crashed: the cutoff is a datacenter-wide
-            # fact, and a recovering node re-derives it before serving reads
-            self._adopt_gst(sim, msg.gst)
-
-        elif isinstance(msg, _HbTick):
-            if not sim.is_crashed(self.node):
-                t = self.next_stamp(sim)
-                for dc in self.peers:
-                    sim.send_reliable(
-                        self.node, NodeId(dc, self.node.partition), GHeartbeat(t)
-                    )
-            sim.schedule_timer(self.node, _HbTick(), self.topo.heartbeat_interval)
-
-        elif isinstance(msg, _GstTick):
-            if not sim.is_crashed(self.node):
-                lst = self._lst(sim)
-                if self.node.partition == 0:
-                    old = self.lst_table.get(0)
-                    if old is None or lst > old:
-                        self.lst_table[0] = lst
-                    self._aggregate_gst(sim)
-                else:
-                    sim.send(
-                        self.node,
-                        NodeId(self.node.dc, 0),
-                        GLst(self.node.partition, lst),
-                    )
-            sim.schedule_timer(self.node, _GstTick(), self.topo.gst_interval)
-
-        elif isinstance(msg, _PutRetry):
-            if not sim.is_crashed(self.node):  # else it dies with the node
-                self._put(sim, msg.msg, msg.arrival)
+    def on_gst_tick(self, sim, src, msg):
+        if not sim.is_crashed(self.node):
+            lst = self._lst(sim)
+            if self.node.partition == 0:
+                old = self.lst_table.get(0)
+                if old is None or lst > old:
+                    self.lst_table[0] = lst
+                self._aggregate_gst(sim)
+            else:
+                sim.send(
+                    self.node,
+                    NodeId(self.node.dc, 0),
+                    GLst(self.node.partition, lst),
+                )
+        sim.schedule_timer(self.node, _GstTick(), self.topo.gst_interval)
 
     def final_heads(self):
         return {key: (h[3],) for key, h in self.visible_head.items()}
@@ -262,10 +261,13 @@ class GentleRainClient(BaseClient):
     def put_context(self):
         return self.last_seen
 
-    def on_reply(self, sim, src, msg):
-        if msg.stamp > self.last_seen:
-            self.last_seen = msg.stamp
-        super().on_reply(sim, src, msg)
+    def get_answered(self, sim, src, msg):
+        self.last_seen = max(self.last_seen, msg.stamp)
+        super().get_answered(sim, src, msg)
+
+    def put_answered(self, sim, src, msg):
+        self.last_seen = max(self.last_seen, msg.stamp)
+        super().put_answered(sim, src, msg)
 
 
 CLIENT = GentleRainClient

@@ -140,12 +140,6 @@ class FaultSchedule:
             if p.start >= p.end:
                 raise ValueError("fault interval must have start < end")
 
-    def crashed(self, node, t) -> bool:
-        for c in self.crashes:
-            if c.node == node and c.start <= t < c.end:
-                return True
-        return False
-
 
 # event kinds
 _DELIVER = 0  # network message, partition/crash checked at delivery
@@ -297,7 +291,7 @@ class Simulation:
         self.actors[actor_id] = handler
 
     def is_crashed(self, node) -> bool:
-        return self.faults.crashed(node, self.now)
+        return _within(self._eps[node].crashes, self.now)
 
     # -- clocks -----------------------------------------------------------
 

@@ -27,6 +27,34 @@ keys_per_partition = 5
 """
 
 
+# Dynamo under overload: late coordinator replies to retried ops
+LATE_REPLY = """
+[experiment]
+protocol = dynamo
+seed = 4
+
+[topology]
+num_datacenters = 3
+partitions_per_dc = 2
+capacity = 600
+
+[network]
+ntt = 2500
+jitter = 0.1
+
+[workload]
+clients_per_dc = 6
+ops_per_client = 6
+pattern = ratio
+reads = 1
+writes = 1
+keys_per_partition = 2
+
+[run]
+op_timeout = 1000
+"""
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -64,6 +92,14 @@ def test_run_reproducible_metrics(tmp_path):
             os.path.join(out2, name), "rb"
         ) as f2:
             assert f1.read() == f2.read()
+
+
+def test_run_counts_each_op_once(tmp_path, capsys):
+    cfg = write(tmp_path, "late.ini", LATE_REPLY)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    words = capsys.readouterr().out.split()
+    ok, failed = int(words[1]), int(words[4])
+    assert ok + failed == 3 * 6 * 6
 
 
 def test_run_config_error_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from consistency_lab.protocols.dynamo import preference_list
 from consistency_lab.sim import ClientId, CrashInterval, NodeId, PartitionInterval
 from consistency_lab.store import Topology, key_in_partition
 from consistency_lab.workload import WorkloadSpec
+from test_acceptance import _faulted_cfg
 
 
 def base_cfg(**kw):
@@ -154,3 +155,34 @@ def test_deterministic_replay():
     b = run_experiment(cfg)
     assert a.digest == b.digest
     assert a.metrics == b.metrics
+
+
+# -- op accounting and coordinator state -------------------------------------
+
+
+def _late_reply_cfg(capacity):
+    # overloaded coordinators answer after the client has already retried the
+    # op elsewhere; op_timeout 1000 is raised to the 20 ms Dynamo floor
+    return ExperimentConfig(
+        protocol="dynamo",
+        topology=Topology(num_datacenters=3, partitions_per_dc=2, capacity=capacity),
+        ntt=2500,
+        jitter=0.1,
+        workload=WorkloadSpec(clients_per_dc=6, ops_per_client=6, pattern="ratio",
+                              reads=1, writes=1, keys_per_partition=2),
+        run=RunParams(op_timeout=1000),
+    )
+
+
+@pytest.mark.parametrize("capacity, seed", [(600, 4), (300, 0)])
+def test_late_reply_to_last_op_is_stale(capacity, seed):
+    # a reply from the first coordinator of a client's retried last op must
+    # not finish the op a second time
+    res = run_experiment(_late_reply_cfg(capacity), seed=seed)
+    assert res.metrics.ops_ok + res.metrics.ops_failed == 3 * 6 * 6
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_read_records_end_with_their_reads(i):
+    res = run_experiment(_faulted_cfg("dynamo", i))
+    assert all(not server.pending_get for server in res.servers.values())

@@ -93,6 +93,20 @@ def test_partition_checked_at_delivery_time():
     assert rec.seen == []
 
 
+def test_is_crashed_follows_each_window():
+    node = NodeId(0, 1)
+    faults = FaultSchedule(
+        crashes=[CrashInterval(node, 100, 200), CrashInterval(node, 500, 700)]
+    )
+    sim = Simulation(NetworkModel(ntt=[[0]]), faults=faults)
+    for t, down in ((99, False), (100, True), (199, True), (200, False),
+                    (499, False), (500, True), (700, False)):
+        sim.now = t
+        assert sim.is_crashed(node) is down, t
+        assert not sim.is_crashed(NodeId(0, 0))
+        assert not sim.is_crashed(ClientId(0, 1))  # a client is never crashed
+
+
 def test_crashed_target_drops():
     faults = FaultSchedule(crashes=[CrashInterval(NodeId(1, 0), 0, 10_000)])
     sim = make_sim(faults=faults)
