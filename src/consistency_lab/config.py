@@ -1,13 +1,20 @@
 """Experiment configuration: a dataclass bundle with an INI text form.
 
-The text format round-trips: parse(emit(parse(text))) == parse(text).
+One table, `_SECTIONS`, drives both directions of the text form.  It maps
+each INI section to the `ExperimentConfig` attribute that holds its fields
+(or the config itself) and its scalar options in emit order: `[topology]`
+and `[run]` take every field of `Topology` and `RunParams`, `[workload]`
+every field of `WorkloadSpec` but `seed`.  An option's type is the type of
+its default.  Only `ntt`/`ntt_row_<i>`, `offset_<node>`, `partitions` and
+`crashes` have their own syntax.  An unknown section or option is a
+`ConfigError` that names it.  parse(emit(parse(text))) == parse(text).
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .protocols import PROTOCOLS
 from .sim import (
@@ -80,10 +87,15 @@ class ExperimentConfig:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: unknown protocol {self.protocol!r}")
         self.topology.validate()
+        net = self.network()
+        if len(net.ntt) != self.topology.num_datacenters:
+            raise ConfigError("network: ntt matrix size must equal the number of datacenters")
         try:
-            self.network().validate()
+            net.validate()
         except ValueError as e:
             raise ConfigError(f"network: {e}") from None
+        if self.max_skew < 0:
+            raise ConfigError("clocks: max_skew must be >= 0")
         try:
             self.workload.validate()
         except ValueError as e:
@@ -97,8 +109,11 @@ class ExperimentConfig:
                 self._check_node(n, "faults.partitions")
         for iv in self.crashes:
             self._check_node(iv.node, "faults.crashes")
-        if self.run.op_timeout <= 0 or self.run.drain < 0 or self.run.horizon <= 0:
-            raise ConfigError("run: op_timeout/drain/horizon out of range")
+        for n in self.clock_offsets or ():
+            self._check_node(n, "clocks.offset")
+        r = self.run
+        if r.op_timeout <= 0 or r.quorum_timeout < 0 or r.drain < 0 or r.horizon <= 0:
+            raise ConfigError("run: op_timeout/quorum_timeout/drain/horizon out of range")
 
     def _check_node(self, n, where):
         t = self.topology
@@ -110,114 +125,93 @@ class ExperimentConfig:
 # text form
 
 
+def _names(cls, skip=()):
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# section -> (the ExperimentConfig attribute that holds its fields, or None
+# for the config itself; its scalar options in emit order)
+_SECTIONS = {
+    "experiment": (None, ("protocol", "seed")),
+    "topology": ("topology", _names(Topology)),
+    "network": (None, ("intra_dc_latency", "jitter", "loss_rate")),
+    "clocks": (None, ("max_skew", "drift_ppm")),
+    "workload": ("workload", _names(WorkloadSpec, skip=("seed",))),
+    "faults": (None, ()),
+    "run": ("run", _names(RunParams)),
+}
+
+
+def _scalar(raw: str, current):
+    """`raw` read as the type of `current`, the option's default."""
+    if isinstance(current, bool):
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    return type(current)(raw)
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _node(tok: str) -> NodeId:
     try:
         d, p = tok.split(".")
         return NodeId(int(d), int(p))
-    except Exception:
+    except ValueError:
         raise ConfigError(f"bad node id {tok!r} (want dc.partition)") from None
 
 
-def _interval(tok: str):
-    span = tok.rsplit("@", 1)
-    if len(span) != 2 or ":" not in span[1]:
-        raise ConfigError(f"bad fault interval {tok!r} (want nodes@start:end)")
-    start, end = span[1].split(":")
-    return span[0], int(start), int(end)
+def _intervals(raw: str):
+    """The `nodes@start:end` items of a `;`-separated list, as (nodes, start, end)."""
+    for tok in filter(None, (s.strip() for s in raw.split(";"))):
+        span = tok.rsplit("@", 1)
+        if len(span) != 2 or ":" not in span[1]:
+            raise ConfigError(f"bad fault interval {tok!r} (want nodes@start:end)")
+        start, end = span[1].split(":")
+        yield span[0], int(start), int(end)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(str(e)) from None
     cfg = ExperimentConfig()
-
-    def grab(section, name, conv, current):
-        if not cp.has_option(section, name):
-            return current
-        raw = cp.get(section, name)
-        try:
-            return conv(raw)
-        except ConfigError:
-            raise
-        except Exception:
-            raise ConfigError(f"{section}.{name}: cannot parse {raw!r}") from None
-
-    _bool = lambda s: s.strip().lower() in ("1", "true", "yes", "on")
-
-    if cp.has_section("experiment"):
-        cfg.protocol = grab("experiment", "protocol", str, cfg.protocol)
-        cfg.seed = grab("experiment", "seed", int, cfg.seed)
-
-    t = cfg.topology
-    if cp.has_section("topology"):
-        for name in (
-            "num_datacenters",
-            "partitions_per_dc",
-            "n",
-            "r",
-            "w",
-            "spares",
-            "gst_interval",
-            "heartbeat_interval",
-            "capacity",
-        ):
-            setattr(t, name, grab("topology", name, int, getattr(t, name)))
-        t.context_compaction = grab(
-            "topology", "context_compaction", _bool, t.context_compaction
-        )
-        t.clock_mode = grab("topology", "clock_mode", str, t.clock_mode)
-
-    if cp.has_section("network"):
-        cfg.ntt = grab("network", "ntt", int, cfg.ntt)
-        rows = sorted(
-            name for name in cp.options("network") if name.startswith("ntt_row_")
-        )
-        if rows:
-            cfg.ntt_matrix = [
-                [int(x) for x in cp.get("network", name).split(",")] for name in rows
-            ]
-        cfg.intra_dc_latency = grab(
-            "network", "intra_dc_latency", int, cfg.intra_dc_latency
-        )
-        cfg.jitter = grab("network", "jitter", float, cfg.jitter)
-        cfg.loss_rate = grab("network", "loss_rate", float, cfg.loss_rate)
-
-    if cp.has_section("clocks"):
-        cfg.max_skew = grab("clocks", "max_skew", int, cfg.max_skew)
-        cfg.drift_ppm = grab("clocks", "drift_ppm", float, cfg.drift_ppm)
-        offsets = {}
-        for name in cp.options("clocks"):
-            if name.startswith("offset_"):
-                offsets[_node(name[len("offset_"):])] = int(cp.get("clocks", name))
-        if offsets:
-            cfg.clock_offsets = offsets
-
-    w = cfg.workload
-    if cp.has_section("workload"):
-        for name in ("clients_per_dc", "ops_per_client", "reads", "writes", "keys_per_partition"):
-            setattr(w, name, grab("workload", name, int, getattr(w, name)))
-        w.pattern = grab("workload", "pattern", str, w.pattern)
-        w.key_dist = grab("workload", "key_dist", str, w.key_dist)
-        w.zipf_theta = grab("workload", "zipf_theta", float, w.zipf_theta)
-
-    if cp.has_section("faults"):
-        if cp.has_option("faults", "partitions"):
-            for tok in filter(None, (s.strip() for s in cp.get("faults", "partitions").split(";"))):
-                group, start, end = _interval(tok)
-                nodes = frozenset(_node(x) for x in group.split("+"))
-                cfg.partitions.append(PartitionInterval(nodes, start, end))
-        if cp.has_option("faults", "crashes"):
-            for tok in filter(None, (s.strip() for s in cp.get("faults", "crashes").split(";"))):
-                node, start, end = _interval(tok)
-                cfg.crashes.append(CrashInterval(_node(node), start, end))
-
-    if cp.has_section("run"):
-        for name in ("op_timeout", "quorum_timeout", "suspicion_window", "drain", "horizon"):
-            setattr(cfg.run, name, grab("run", name, int, getattr(cfg.run, name)))
-
+    rows, offsets = {}, {}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        attr, names = _SECTIONS[section]
+        obj = getattr(cfg, attr) if attr else cfg
+        for name, raw in cp.items(section):
+            try:
+                if name in names:
+                    setattr(obj, name, _scalar(raw, getattr(obj, name)))
+                elif (section, name) == ("network", "ntt"):
+                    cfg.ntt = int(raw)
+                elif section == "network" and name.startswith("ntt_row_"):
+                    rows[int(name[len("ntt_row_"):])] = [int(x) for x in raw.split(",")]
+                elif section == "clocks" and name.startswith("offset_"):
+                    offsets[_node(name[len("offset_"):])] = int(raw)
+                elif (section, name) == ("faults", "partitions"):
+                    cfg.partitions = [PartitionInterval(frozenset(map(_node, g.split("+"))), s, e)
+                                      for g, s, e in _intervals(raw)]
+                elif (section, name) == ("faults", "crashes"):
+                    cfg.crashes = [CrashInterval(_node(n), s, e) for n, s, e in _intervals(raw)]
+                else:
+                    raise ConfigError(f"{section}.{name}: unknown option")
+            except (KeyError, ValueError):
+                raise ConfigError(f"{section}.{name}: cannot parse {raw!r}") from None
+    if rows:
+        if cp.has_option("network", "ntt"):
+            raise ConfigError("network: give ntt or ntt_row_<i>, not both")
+        if sorted(rows) != list(range(len(rows))):
+            raise ConfigError("network: ntt_row_<i> must be numbered 0, 1, ... without gaps")
+        cfg.ntt_matrix = [rows[i] for i in range(len(rows))]
+    cfg.clock_offsets = offsets or None
     cfg.validate()
     # the workload carries its own derived seed so generation is reproducible
     cfg.workload = replace(cfg.workload, seed=cfg.seed)
@@ -225,67 +219,26 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp["experiment"] = {"protocol": cfg.protocol, "seed": str(cfg.seed)}
-    t = cfg.topology
-    cp["topology"] = {
-        "num_datacenters": str(t.num_datacenters),
-        "partitions_per_dc": str(t.partitions_per_dc),
-        "n": str(t.n),
-        "r": str(t.r),
-        "w": str(t.w),
-        "spares": str(t.spares),
-        "gst_interval": str(t.gst_interval),
-        "heartbeat_interval": str(t.heartbeat_interval),
-        "capacity": str(t.capacity),
-        "context_compaction": str(t.context_compaction).lower(),
-        "clock_mode": t.clock_mode,
-    }
-    net = {
-        "intra_dc_latency": str(cfg.intra_dc_latency),
-        "jitter": repr(cfg.jitter),
-        "loss_rate": repr(cfg.loss_rate),
-    }
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, (attr, names) in _SECTIONS.items():
+        obj = getattr(cfg, attr) if attr else cfg
+        cp[section] = {name: _text(getattr(obj, name)) for name in names}
     if cfg.ntt_matrix is not None:
         for i, row in enumerate(cfg.ntt_matrix):
-            net[f"ntt_row_{i}"] = ",".join(str(x) for x in row)
+            cp["network"][f"ntt_row_{i}"] = ",".join(str(x) for x in row)
     else:
-        net["ntt"] = str(cfg.ntt)
-    cp["network"] = net
-    clocks = {"max_skew": str(cfg.max_skew), "drift_ppm": repr(cfg.drift_ppm)}
-    if cfg.clock_offsets:
-        for node in sorted(cfg.clock_offsets):
-            clocks[f"offset_{node}"] = str(cfg.clock_offsets[node])
-    cp["clocks"] = clocks
-    w = cfg.workload
-    cp["workload"] = {
-        "clients_per_dc": str(w.clients_per_dc),
-        "ops_per_client": str(w.ops_per_client),
-        "pattern": w.pattern,
-        "reads": str(w.reads),
-        "writes": str(w.writes),
-        "key_dist": w.key_dist,
-        "zipf_theta": repr(w.zipf_theta),
-        "keys_per_partition": str(w.keys_per_partition),
-    }
-    faults = {}
+        cp["network"]["ntt"] = str(cfg.ntt)
+    for node in sorted(cfg.clock_offsets or ()):
+        cp["clocks"][f"offset_{node}"] = str(cfg.clock_offsets[node])
     if cfg.partitions:
-        faults["partitions"] = "; ".join(
+        cp["faults"]["partitions"] = "; ".join(
             "+".join(str(n) for n in sorted(iv.group)) + f"@{iv.start}:{iv.end}"
             for iv in cfg.partitions
         )
     if cfg.crashes:
-        faults["crashes"] = "; ".join(
+        cp["faults"]["crashes"] = "; ".join(
             f"{iv.node}@{iv.start}:{iv.end}" for iv in cfg.crashes
         )
-    cp["faults"] = faults
-    cp["run"] = {
-        "op_timeout": str(cfg.run.op_timeout),
-        "quorum_timeout": str(cfg.run.quorum_timeout),
-        "suspicion_window": str(cfg.run.suspicion_window),
-        "drain": str(cfg.run.drain),
-        "horizon": str(cfg.run.horizon),
-    }
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

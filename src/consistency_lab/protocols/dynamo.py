@@ -220,7 +220,7 @@ class DynamoServer(ServerNode):
         self.counters = {}  # key -> our own highest issued vc entry
         self.hints = []  # (intended NodeId, key, version)
         self.detector = _Detector(suspicion)
-        self.pending_put = {}  # token -> _PutRec
+        self.pending_put = {}  # token -> _PutRec, until answered and fully acked
         self.pending_get = {}  # token -> _GetRec, until answered or timed out
         self._token = 0
         self._probe_scheduled = False
@@ -304,6 +304,7 @@ class DynamoServer(ServerNode):
             sim.schedule_timer(self.node, _TTimer(token, t), self.quorum_timeout)
         if self.topo.w <= 1:
             self._finish_put(sim, rec)
+            self._settle(token, rec)
         else:
             sim.schedule_timer(self.node, _QTimer(token), self.quorum_timeout)
 
@@ -324,6 +325,13 @@ class DynamoServer(ServerNode):
         rec.acks.add(src)
         if len(rec.acks) >= self.topo.w - 1:
             self._finish_put(sim, rec)
+        self._settle(msg.token, rec)
+
+    def _settle(self, token, rec):
+        """Forget a put once it is answered and every store target it was
+        sent to has acked: only stale timers can name its token after that."""
+        if rec.replied and len(rec.acks) == len(rec.used) - 1:
+            del self.pending_put[token]
 
     def on_target_timer(self, sim, src, msg):
         rec = self.pending_put.get(msg.token)
@@ -354,6 +362,7 @@ class DynamoServer(ServerNode):
         if rec is not None and not rec.replied:
             rec.replied = True
             sim.send(self.node, rec.msg.client, DPutReply(rec.msg.op_id, False))
+            self._settle(msg.token, rec)
 
     # -- reads -------------------------------------------------------------
 

@@ -105,8 +105,8 @@ class NetworkModel:
                     raise ValueError("ntt matrix must be symmetric")
                 if i != j and self.ntt[i][j] <= 0:
                     raise ValueError("inter-datacenter latency must be positive")
-        if self.jitter < 0 or not (0 <= self.loss_rate <= 1):
-            raise ValueError("bad jitter/loss_rate")
+        if not (0 <= self.jitter < float("inf")) or not (0 <= self.loss_rate < 1):
+            raise ValueError("need a finite jitter >= 0 and 0 <= loss_rate < 1")
 
 
 @dataclass

@@ -10,11 +10,13 @@ from consistency_lab.bench import (
     sweep,
 )
 from consistency_lab.config import (
+    _SECTIONS,
     ExperimentConfig,
+    RunParams,
     emit_config,
     parse_config,
 )
-from consistency_lab.sim import NodeId
+from consistency_lab.sim import CrashInterval, NodeId, PartitionInterval
 from consistency_lab.store import ConfigError, Topology
 from consistency_lab.trace import VisibilityTrace
 from consistency_lab.workload import WorkloadSpec
@@ -175,3 +177,138 @@ def test_config_bad_fault_interval():
     bad = SAMPLE.replace("2.1@100:900", "2.1@900:100")
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+# emit_config(parse_config(SAMPLE)), recorded before the text form was driven
+# from the config dataclasses
+SAMPLE_EMITTED = """\
+[experiment]
+protocol = gentlerain
+seed = 12
+
+[topology]
+num_datacenters = 3
+partitions_per_dc = 2
+n = 3
+r = 2
+w = 2
+spares = 1
+gst_interval = 10000
+heartbeat_interval = 5000
+capacity = 50000
+context_compaction = true
+clock_mode = hlc
+
+[network]
+intra_dc_latency = 100
+jitter = 0.1
+loss_rate = 0.0
+ntt_row_0 = 0,2500,40000
+ntt_row_1 = 2500,0,40000
+ntt_row_2 = 40000,40000,0
+
+[clocks]
+max_skew = 500
+drift_ppm = 0.0
+offset_0.0 = 300
+
+[workload]
+clients_per_dc = 2
+ops_per_client = 50
+pattern = read_all_write_one
+reads = 9
+writes = 1
+key_dist = uniform
+zipf_theta = 0.99
+keys_per_partition = 100
+
+[faults]
+partitions = 0.0+0.1@1000:5000; 1.0@2000:3000
+crashes = 2.1@100:900
+
+[run]
+op_timeout = 200000
+quorum_timeout = 0
+suspicion_window = 50000
+drain = 150000
+horizon = 300000000
+
+"""
+
+
+def test_config_emitted_text_pinned():
+    assert emit_config(parse_config(SAMPLE)) == SAMPLE_EMITTED
+
+
+def _every_option_set():
+    ntt = [[0 if i == j else 1000 * (i + j + 1) for j in range(4)] for i in range(4)]
+    return ExperimentConfig(
+        protocol="dynamo",
+        seed=7,
+        topology=Topology(num_datacenters=4, partitions_per_dc=2, n=4, r=3, w=3, spares=2,
+                          gst_interval=20_000, heartbeat_interval=7_000, capacity=40_000,
+                          context_compaction=False, clock_mode="hlc"),
+        ntt_matrix=ntt,
+        intra_dc_latency=150,
+        jitter=0.25,
+        loss_rate=0.01,
+        max_skew=700,
+        drift_ppm=12.5,
+        clock_offsets={NodeId(1, 1): -200, NodeId(3, 0): 40},
+        workload=WorkloadSpec(clients_per_dc=3, ops_per_client=40, pattern="read_all_write_one",
+                              reads=4, writes=2, key_dist="zipf", zipf_theta=0.8,
+                              keys_per_partition=12, seed=7),
+        partitions=[PartitionInterval(frozenset({NodeId(0, 0), NodeId(2, 1)}), 1000, 5000),
+                    PartitionInterval(frozenset({NodeId(3, 1)}), 6000, 9000)],
+        crashes=[CrashInterval(NodeId(3, 1), 200, 900), CrashInterval(NodeId(0, 1), 50, 60)],
+        run=RunParams(op_timeout=150_000, quorum_timeout=9_000, suspicion_window=60_000,
+                      drain=100_000, horizon=200_000_000),
+    )
+
+
+def test_config_round_trip_every_option():
+    cfg = _every_option_set()
+    default = ExperimentConfig()
+    for section, (attr, names) in _SECTIONS.items():
+        for name in names:
+            ours = getattr(getattr(cfg, attr) if attr else cfg, name)
+            theirs = getattr(getattr(default, attr) if attr else default, name)
+            assert ours != theirs, f"{section}.{name} is at its default"
+    assert parse_config(emit_config(cfg)) == cfg
+    uniform = dataclasses.replace(cfg, ntt_matrix=None, ntt=1234)
+    assert parse_config(emit_config(uniform)) == uniform
+
+
+def test_config_round_trip_eleven_datacenters():
+    # ntt_row_10 must stay the eleventh row, not sort between rows 1 and 2
+    ntt = [[0 if i == j else 100 * (i + j) + 50 for j in range(11)] for i in range(11)]
+    cfg = ExperimentConfig(topology=Topology(num_datacenters=11), ntt_matrix=ntt)
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+def test_config_option_types_come_from_defaults():
+    for cls in (Topology, RunParams, WorkloadSpec):
+        for f in dataclasses.fields(cls):
+            if f.name != "seed":
+                assert type(f.default) in (int, float, bool, str), f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("edit, names", [
+    pytest.param(("partitions_per_dc = 2", "partitons_per_dc = 2"), "topology.partitons_per_dc",
+                 id="misspelled-option"),
+    pytest.param(("[run]", "[run]\nhorizn = 5"), "run.horizn", id="unknown-option"),
+    pytest.param(("[run]", "[runs]"), r"\[runs\]", id="unknown-section"),
+    pytest.param(("clock_mode = hlc", "clock_mode = hlc\ncontext_compaction = maybe"),
+                 "topology.context_compaction: cannot parse", id="bad-bool"),
+    pytest.param(("ntt_row_2", "ntt_row_3"), "ntt_row", id="row-gap"),
+    pytest.param(("ntt_row_0", "ntt = 5000\nntt_row_0"), "not both", id="ntt-and-rows"),
+    pytest.param(("2.1@100:900", "2.1@100:9x0"), "faults.crashes: cannot parse",
+                 id="bad-interval"),
+    pytest.param(("protocol = gentlerain", "protocol = gentle%rain"), "unknown protocol",
+                 id="percent-sign"),
+    pytest.param(("offset_0.0", "offset_5.0"), "clocks.offset: node 5.0 outside",
+                 id="offset-outside-topology"),
+])
+def test_config_rejects_unknown_or_unreadable_options(edit, names):
+    with pytest.raises(ConfigError, match=names):
+        parse_config(SAMPLE.replace(*edit))

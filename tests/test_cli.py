@@ -3,7 +3,9 @@ import os
 import pytest
 
 from consistency_lab.cli import main
+from consistency_lab.config import parse_config
 from consistency_lab.history import GET, INITIAL, PUT, History
+from consistency_lab.store import ConfigError
 
 MINIMAL = """
 [experiment]
@@ -169,3 +171,46 @@ def test_sweep_writes_table(tmp_path, capsys):
         lines = f.read().strip().split("\n")
     assert len(lines) == 5  # header + 2 values x 2 protocols
     assert os.path.isdir(os.path.join(out, "point_cops_1"))
+
+
+def test_run_misspelled_option_exit_2(tmp_path, capsys):
+    text = MINIMAL.replace("partitions_per_dc = 1", "partitons_per_dc = 8")
+    cfg = write(tmp_path, "exp.ini", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "topology.partitons_per_dc" in capsys.readouterr().err
+
+
+def _variant(protocol, *edits, extra=""):
+    text = MINIMAL.replace("protocol = cops", f"protocol = {protocol}")
+    for old, new in edits:
+        text = text.replace(old, new)
+    return text + extra
+
+
+# configs that passed validation but ended in a traceback, a hang or exit 3
+OUT_OF_RANGE = [
+    pytest.param(_variant("cops", ("ntt = 2500", "ntt = 2500\njitter = nan")), "jitter",
+                 id="jitter-nan"),
+    pytest.param(_variant("dynamo", ("ntt = 2500", "ntt = 2500\njitter = inf")), "jitter",
+                 id="jitter-inf"),
+    pytest.param(_variant("gentlerain", ("ntt = 2500", "ntt = 2500\nloss_rate = 1")),
+                 "loss_rate", id="loss-rate-1"),
+    pytest.param(_variant("gentlerain", extra="\n[clocks]\nmax_skew = -1\n"), "max_skew",
+                 id="negative-skew"),
+    pytest.param(_variant("dynamo", extra="\n[run]\nquorum_timeout = -1\n"),
+                 "quorum_timeout", id="negative-quorum-timeout"),
+    pytest.param(_variant("cops", ("num_datacenters = 3", "num_datacenters = 4"),
+                          ("ntt = 2500", "ntt_row_0 = 0,2500,2500\nntt_row_1 = 2500,0,2500\n"
+                                         "ntt_row_2 = 2500,2500,0")),
+                 "ntt matrix size", id="three-rows-four-datacenters"),
+]
+
+
+@pytest.mark.parametrize("text, what", OUT_OF_RANGE)
+def test_run_out_of_range_exit_2(tmp_path, capsys, text, what):
+    # rejected at parse time, before anything runs
+    with pytest.raises(ConfigError, match=what):
+        parse_config(text)
+    cfg = write(tmp_path, "exp.ini", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert what in capsys.readouterr().err

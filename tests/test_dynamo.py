@@ -186,3 +186,23 @@ def test_late_reply_to_last_op_is_stale(capacity, seed):
 def test_read_records_end_with_their_reads(i):
     res = run_experiment(_faulted_cfg("dynamo", i))
     assert all(not server.pending_get for server in res.servers.values())
+
+
+@pytest.mark.parametrize("n", [3, 1])
+@pytest.mark.parametrize("ops", [100, 1000])
+def test_put_records_settle_without_faults(n, ops):
+    # a put record leaves once it is answered and every store target acked,
+    # so coordinator state does not grow with the op count
+    topo = Topology(num_datacenters=3, partitions_per_dc=2, n=n, r=1, w=1 if n == 1 else 2,
+                    spares=1)
+    wl = WorkloadSpec(clients_per_dc=1, ops_per_client=ops, pattern="ratio",
+                      reads=3, writes=1, keys_per_partition=10)
+    res = run_experiment(base_cfg(topology=topo, workload=wl))
+    assert res.metrics.ops_failed == 0
+    assert all(not server.pending_put for server in res.servers.values())
+
+
+def test_put_records_settle_under_faults():
+    # only writes with a store target that never acked stay behind
+    res = run_experiment(_faulted_cfg("dynamo", 0))
+    assert sum(len(server.pending_put) for server in res.servers.values()) < 100
