@@ -71,10 +71,11 @@ class ExperimentResult:
 class _Harness:
     """Shared state the clients report into."""
 
-    def __init__(self, cfg, history):
+    def __init__(self, cfg, history, clients):
         self.cfg = cfg
         self.topo = cfg.topology
         self.history = history
+        self.clients = clients
         self._op_seq = 0
         self.ops_ok = 0
         self.ops_failed = 0
@@ -96,6 +97,8 @@ class _Harness:
     def client_done(self, sim, client):
         self.done_clients += 1
         self.finish_time = max(self.finish_time, sim.now)
+        if self.done_clients == self.clients:
+            sim.stopped = True  # the client phase ends with this event
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int = None, streams: dict = None) -> ExperimentResult:
@@ -120,7 +123,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int = None, streams: dict = None
     history = History()
     trace = VisibilityTrace(mode=mod.TRACE_MODE)
     sim.on_drop = trace.record_drop
-    harness = _Harness(cfg, history)
+    if streams is None:
+        streams = generate_workload(cfg.workload, topo)
+    harness = _Harness(cfg, history, len(streams))
 
     servers = {}
     for i, node in enumerate(topo.nodes()):
@@ -129,22 +134,19 @@ def run_experiment(cfg: ExperimentConfig, seed: int = None, streams: dict = None
         sim.add_actor(node, server)
         server.start(sim, offset=(i * 97) % 1000 + 1)
 
-    if streams is None:
-        streams = generate_workload(cfg.workload, topo)
     for j, (cid, ops) in enumerate(sorted(streams.items())):
         client = mod.CLIENT(cid, ops, harness)
         sim.add_actor(cid, client)
         client.start(sim, offset=(j * 131) % 2000)
 
-    # run until every client has drained its op list (each op is bounded by
-    # its timeout, so this terminates), then let replication settle
-    total = len(streams)
+    # run until the event that finishes the last client (each op is bounded
+    # by its timeout, so this terminates), then let replication settle for
+    # exactly `drain` us
     horizon = cfg.run.horizon
-    while harness.done_clients < total and sim.now < horizon:
+    while harness.done_clients < harness.clients and sim.now < horizon:
         if sim.run(until=horizon, max_events=50_000) == 0:
             break
-    finish = sim.now
-    sim.run(until=min(horizon, finish + cfg.run.drain))
+    sim.run(until=min(horizon, sim.now + cfg.run.drain))
 
     _finalize_trace(trace, sim, cfg, mod, servers)
     metrics = _compute_metrics(cfg, sim, harness, trace, servers)

@@ -230,7 +230,8 @@ class _Channel:
 
 
 class Exhausted(Exception):
-    """step() on an empty event queue."""
+    """step() found no event to handle: the queue is empty, or its earliest
+    event is later than `until`."""
 
 
 class Simulation:
@@ -284,6 +285,7 @@ class Simulation:
         self._digest = hashlib.sha256()
         self._digest_lines = []
         self.processed = 0
+        self.stopped = False  # set by a handler: run() returns after its event
 
     # -- actors -----------------------------------------------------------
 
@@ -425,11 +427,13 @@ class Simulation:
         if self.on_drop:
             self.on_drop(t, src.id, dst.id, msg.tname)
 
-    def step(self):
-        """Process the earliest event.  Raises Exhausted on an empty queue."""
+    def step(self, until: int = None):
+        """Process the earliest event, skipping dropped and requeued
+        deliveries.  Raises Exhausted when no event at or before `until` (if
+        given) is queued."""
         queue = self._queue
         while True:
-            if not queue:
+            if not queue or (until is not None and queue[0][0] > until):
                 raise Exhausted()
             time, eid, kind, target, src, msg = heapq.heappop(queue)
             assert time >= self.now
@@ -513,20 +517,19 @@ class Simulation:
             self._push_direct(now, dst, ((src, msg),))
 
     def run(self, until: int = None, max_events: int = None):
-        """Process events until the queue empties, `until` is passed, or
-        `max_events` have been handled."""
+        """Process events until the queue empties, the next event is past
+        `until`, `max_events` have been handled, or a handler sets `stopped`
+        (run returns after that event and clears the flag)."""
         n = 0
-        queue = self._queue
         step = self.step
-        while queue:
-            if until is not None and queue[0][0] > until:
-                break
+        while True:
             try:
-                step()
+                step(until)
             except Exhausted:
                 break
             n += 1
-            if max_events is not None and n >= max_events:
+            if self.stopped or (max_events is not None and n >= max_events):
+                self.stopped = False
                 return n  # stopped early: virtual time must not jump ahead
         if until is not None and self.now < until:
             self.now = until

@@ -108,14 +108,17 @@ BEFORE, AFTER, EQUAL, CONCURRENT = "before", "after", "equal", "concurrent"
 
 
 def vc_compare(a: dict, b: dict) -> str:
-    keys = set(a) | set(b)
     less = greater = False
-    for k in keys:
-        av, bv = a.get(k, 0), b.get(k, 0)
+    for k, av in a.items():
+        bv = b.get(k, 0)
         if av < bv:
             less = True
         elif av > bv:
             greater = True
+    for k, bv in b.items():
+        # an entry only b has reads 0 in a; counters are never negative
+        if bv and k not in a:
+            less = True
     if less and greater:
         return CONCURRENT
     if less:

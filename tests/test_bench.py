@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import consistency_lab.bench as bench
 from consistency_lab.bench import (
     apply_axis,
     measure_uvl,
@@ -16,10 +17,13 @@ from consistency_lab.config import (
     emit_config,
     parse_config,
 )
-from consistency_lab.sim import CrashInterval, NodeId, PartitionInterval
+from consistency_lab.protocols import PROTOCOLS
+from consistency_lab.sim import CrashInterval, NodeId, PartitionInterval, Simulation
 from consistency_lab.store import ConfigError, Topology
 from consistency_lab.trace import VisibilityTrace
 from consistency_lab.workload import WorkloadSpec
+from test_acceptance import _faulted_cfg
+from test_golden import _skewed_gentlerain_cfg
 
 
 def small_cfg(proto="cops", **kw):
@@ -111,6 +115,42 @@ def test_metrics_csv_deterministic():
         "protocol,throughput,uvl_mean,uvl_p99,availability,"
         "msgs_put_after,msgs_dep_check,msgs_quorum"
     )
+
+
+# -- run lifecycle -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: _faulted_cfg("gentlerain", 0),
+    _skewed_gentlerain_cfg,
+], ids=["faulted-gentlerain-0", "gentlerain-skew-1"])
+def test_outputs_do_not_depend_on_the_client_phase_batch(make_cfg, monkeypatch):
+    def outputs(res):
+        return res.history.to_text(), res.trace.to_text(), res.digest
+
+    default = outputs(run_experiment(make_cfg()))
+
+    class Batched(Simulation):
+        def run(self, until=None, max_events=None):
+            return super().run(until, max_events and 997)
+
+    monkeypatch.setattr(bench, "Simulation", Batched)
+    assert outputs(run_experiment(make_cfg())) == default
+
+
+@pytest.mark.parametrize("proto", sorted(PROTOCOLS))
+def test_run_ends_exactly_drain_after_the_last_client(proto):
+    for i in range(3):
+        cfg = _faulted_cfg(proto, i)
+        res = run_experiment(cfg)
+        assert res.trace.end_time == res.metrics.duration + cfg.run.drain, i
+
+
+def test_end_of_run_crash_set_is_taken_at_the_end_of_the_drain():
+    res = run_experiment(_faulted_cfg("cops", 3))
+    assert (res.metrics.duration, res.trace.end_time) == (170_596, 370_596)
+    # node 2.0 is down over 324,666-448,375 us
+    assert res.trace.crashed == {NodeId(2, 0)}
 
 
 # -- config text form --------------------------------------------------------

@@ -4,7 +4,9 @@ The capacity-backlog values were recorded from the kernel that re-pushed
 every waiting message once per service slot; the Dynamo run and the lossy
 channel scenario were recorded from the kernel that resolved actor ids on
 every event; the skewed GentleRain and the eventual runs were recorded from
-the protocols that each defined their own client messages and driver.  A
+the protocols that each defined their own client messages and driver.  The
+two GentleRain runs and the saturated COPS run were re-recorded when a run
+began to end at its last client's final event plus exactly `drain` us.  A
 faster kernel or a refactored protocol must reproduce them exactly: the event
 digest, the number of handled events and the final event id (which counts
 every virtual re-push of a waiting message)."""
@@ -36,9 +38,9 @@ GOLDEN = {
     # one partition per DC: the partition heal releases long backlogs
     "faulted-gentlerain-0": (
         lambda: _faulted_cfg("gentlerain", 0),
-        "d35b55e912ae680860aebab313d34a964038e260f56514c9c43331c51ac75038",
-        43_791,
-        1_181_023,
+        "2cf3036f3b5dde0cbccb04f1da0b673546b42a2ea8736119da8602f36f6adf5d",
+        36_194,
+        1_169_628,
     ),
     "faulted-cops-1": (
         lambda: _faulted_cfg("cops", 1),
@@ -57,9 +59,9 @@ GOLDEN = {
     # coordinator's clock passes the client's last-seen timestamp
     "gentlerain-skew-1": (
         _skewed_gentlerain_cfg,
-        "a0d2da2fbd9999ab6caeb2bf4312f765a78a77294fb803bf4885a7de8fee0962",
-        81_216,
-        128_063,
+        "7854a8f5a7c1ee91cccb07c814b9ca0fc6f68b98f9a37375bd55e54a0f04fba1",
+        47_705,
+        80_800,
     ),
     # the last-writer-wins baseline
     "eventual-1": (
@@ -73,8 +75,8 @@ GOLDEN = {
         lambda: _saturated_cfg("cops", 31, 16, WorkloadSpec(
             clients_per_dc=8, ops_per_client=120, pattern="ratio", reads=1,
             writes=1, keys_per_partition=2, seed=31)),
-        "ff7cdca65d2b93f82404964772d55e7fb0b8ae6b6fe4f941ba6e47f976849672",
-        21_916,
+        "abd161728acab903825db12ef93263a2e26b90801bdfa5fdc46ff976bd6172e1",
+        19_036,
         79_960,
     ),
 }

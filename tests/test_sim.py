@@ -272,6 +272,44 @@ def test_timer_delivery():
     assert rec.seen == [(5000, NodeId(0, 0), "tick")]
 
 
+def test_run_until_skips_a_drop_but_handles_nothing_later():
+    node = NodeId(0, 1)
+    sim = make_sim(
+        network=two_dc_net(intra=10),
+        faults=FaultSchedule(crashes=[CrashInterval(node, 0, 12)]),
+    )
+    rec = Recorder()
+    sim.add_actor(node, rec)
+    drops = record_drops(sim)
+    sim.send(NodeId(0, 0), node, Ping())  # delivered, and dropped, at t = 10
+    sim.schedule_timer(node, Tick(), 20)
+    assert sim.run(until=15) == 0
+    assert (sim.now, rec.seen, len(drops)) == (15, [], 1)
+    assert sim.run() == 1
+    assert rec.seen == [(20, node, "tick")]
+
+
+def test_run_returns_after_the_event_that_sets_stopped():
+    sim = make_sim()
+    node = NodeId(0, 0)
+    seen = []
+
+    class Stopper:
+        def handle(self, sim, src, msg):
+            seen.append(sim.now)
+            if sim.now == 200:
+                sim.stopped = True
+
+    sim.add_actor(node, Stopper())
+    for t in (100, 200, 300):
+        sim.schedule_timer(node, Tick(), t)
+    # neither max_events nor `until` stops it, and time does not jump ahead
+    assert sim.run(until=10_000, max_events=50) == 2
+    assert (sim.now, seen, sim.stopped) == (200, [100, 200], False)
+    assert sim.run(until=10_000) == 1
+    assert (sim.now, seen) == (10_000, [100, 200, 300])
+
+
 # -- the capacity gate under backlogs ----------------------------------------
 # Times, orders and event ids below are those of the kernel that re-pushed
 # every waiting message once per service slot; the run-based gate must

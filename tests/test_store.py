@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from consistency_lab.sim import NodeId
 from consistency_lab.store import (
@@ -88,6 +90,35 @@ def test_vc_concurrent_symmetric():
 def test_vc_absent_entries_read_zero():
     assert vc_compare({0: 1}, {0: 1, 1: 0}) == EQUAL
     assert vc_compare({0: 1}, {1: 1}) == CONCURRENT
+
+
+def _vc_compare_reference(a, b):
+    """The plain definition: every entry of either clock, absent ones 0."""
+    less = greater = False
+    for k in set(a) | set(b):
+        av, bv = a.get(k, 0), b.get(k, 0)
+        if av < bv:
+            less = True
+        elif av > bv:
+            greater = True
+    if less and greater:
+        return CONCURRENT
+    if less:
+        return BEFORE
+    if greater:
+        return AFTER
+    return EQUAL
+
+
+# few entries and small counters, so shared, missing and zero entries and
+# equal counters are all common
+_CLOCKS = st.dictionaries(st.integers(0, 5), st.integers(0, 3), max_size=6)
+
+
+@given(_CLOCKS, _CLOCKS)
+def test_vc_compare_matches_the_plain_definition(a, b):
+    assert vc_compare(a, b) == _vc_compare_reference(a, b)
+    assert vc_compare(b, a) == _vc_compare_reference(b, a)
 
 
 def test_vc_merge_and_bump():
